@@ -8,18 +8,27 @@
 
 #include "bench_common.h"
 #include "cqa/aggregation.h"
+#include "cqa/planner.h"
 
 namespace prefrep::bench {
 namespace {
+
+// Forced enumeration: the exact range engine, even where COUNT or an
+// empty priority would plan a cheaper tier.
+EvalOptions Enumerate() {
+  EvalOptions options;
+  options.force_tier = CqaTier::kEnumeration;
+  return options;
+}
 
 void BM_Aggregation_SumRangeExact(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   BenchSetup setup = MakeSetup(MakeRnInstance(n), /*seed=*/23, 0.0);
   Priority empty = Priority::Empty(setup.problem->graph());
   for (auto _ : state) {
-    auto range = AggregateConsistentRange(
+    auto range = PlannedAggregateRange(
         *setup.problem, empty, RepairFamily::kAll, "R", "B",
-        AggregateFunction::kSum);
+        AggregateFunction::kSum, Enumerate());
     CHECK(range.ok());
     CHECK(range->lo == 0 && range->hi == static_cast<double>(n));
     benchmark::DoNotOptimize(range->hi);
@@ -53,9 +62,9 @@ void BM_Aggregation_FamilySweep(benchmark::State& state) {
   BenchSetup setup = MakeSetup(MakeChainInstance(12), /*seed=*/23, 0.5);
   double width = 0;
   for (auto _ : state) {
-    auto range = AggregateConsistentRange(
+    auto range = PlannedAggregateRange(
         *setup.problem, *setup.priority, family, "R", "B",
-        AggregateFunction::kSum);
+        AggregateFunction::kSum, Enumerate());
     CHECK(range.ok());
     width = range->hi - range->lo;
     KeepAlive(width);

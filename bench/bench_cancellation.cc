@@ -94,11 +94,12 @@ void BM_TimeToCancel_ShardedCqa(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ExecutionContext context;
-    ParallelOptions options;
+    EvalOptions options;
     options.threads = threads;
+    options.force_tier = CqaTier::kEnumeration;
     options.context = &context;
     std::thread worker([&] {
-      auto verdict = EnumeratedConsistentAnswer(
+      auto verdict = PlannedConsistentAnswer(
           *setup.problem, *setup.priority, RepairFamily::kAll, *query,
           options);
       // Cancelled runs surface the context's status; completing first

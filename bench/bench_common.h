@@ -14,6 +14,7 @@
 #include "core/algorithm1.h"
 #include "core/families.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "repair/repair.h"
 #include "workload/generators.h"

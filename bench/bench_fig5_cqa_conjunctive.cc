@@ -27,8 +27,8 @@ void BM_Fig5_ConjunctiveCqa_RepNaive(benchmark::State& state) {
   Priority empty = Priority::Empty(setup.problem->graph());
   std::unique_ptr<Query> query = ConjunctiveQuery();
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(*setup.problem, empty,
-                                             RepairFamily::kAll, *query);
+    auto verdict = PlannedConsistentAnswer(*setup.problem, empty,
+                                           RepairFamily::kAll, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kUndetermined);
     benchmark::DoNotOptimize(*verdict);

@@ -31,8 +31,8 @@ void BM_Fig5_GlobalCqa(benchmark::State& state) {
   // under G-Rep; certifying it visits every repair and certifies each.
   std::unique_ptr<Query> query = MustParse("R(0, 1, 0, 0)");
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(*setup.problem, priority,
-                                             RepairFamily::kGlobal, *query);
+    auto verdict = PlannedConsistentAnswer(*setup.problem, priority,
+                                           RepairFamily::kGlobal, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     benchmark::DoNotOptimize(*verdict);
@@ -53,8 +53,8 @@ void BM_Fig5_CommonCqaContrast(benchmark::State& state) {
   Priority priority = CyclePriority(setup.problem->graph(), k);
   std::unique_ptr<Query> query = MustParse("R(0, 1, 0, 0)");
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(*setup.problem, priority,
-                                             RepairFamily::kCommon, *query);
+    auto verdict = PlannedConsistentAnswer(*setup.problem, priority,
+                                           RepairFamily::kCommon, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     benchmark::DoNotOptimize(*verdict);
@@ -74,7 +74,7 @@ void BM_Fig5_SemiGlobalCqaContrast(benchmark::State& state) {
   Priority priority = CyclePriority(setup.problem->graph(), k);
   std::unique_ptr<Query> query = MustParse("R(0, 1, 0, 0)");
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(
+    auto verdict = PlannedConsistentAnswer(
         *setup.problem, priority, RepairFamily::kSemiGlobal, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kUndetermined);

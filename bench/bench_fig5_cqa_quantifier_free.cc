@@ -50,8 +50,8 @@ void BM_Fig5_QfCqa_RepNaive(benchmark::State& state) {
   Priority empty = Priority::Empty(setup.problem->graph());
   std::unique_ptr<Query> query = WorstCaseQuery();
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(*setup.problem, empty,
-                                             RepairFamily::kAll, *query);
+    auto verdict = PlannedConsistentAnswer(*setup.problem, empty,
+                                           RepairFamily::kAll, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     benchmark::DoNotOptimize(*verdict);
@@ -73,8 +73,8 @@ void BM_Fig5_QfCqa_PreferredFamilies(benchmark::State& state) {
   BenchSetup setup = MakeSetup(MakeRnInstance(n), /*seed=*/3, 0.5);
   std::unique_ptr<Query> query = WorstCaseQuery();
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(*setup.problem, *setup.priority,
-                                             family, *query);
+    auto verdict = PlannedConsistentAnswer(*setup.problem, *setup.priority,
+                                           family, *query);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     benchmark::DoNotOptimize(*verdict);

@@ -114,12 +114,12 @@ BenchSetup MakeCqaWorkload() {
 
 void BM_ParallelScaling_CqaClosed(benchmark::State& state) {
   BenchSetup setup = MakeCqaWorkload();
-  ParallelOptions options{static_cast<int>(state.range(0))};
+  EvalOptions options{.threads = static_cast<int>(state.range(0))};
   // Certainly true (every repair keeps >= 1 tuple of group 0), so the
   // verdict needs the full repair product — no early stop.
   std::unique_ptr<Query> query = MustParse("exists x, y . R(0, x, y)");
   for (auto _ : state) {
-    auto verdict = PreferredConsistentAnswer(
+    auto verdict = PlannedConsistentAnswer(
         *setup.problem, *setup.priority, RepairFamily::kAll, *query,
         options);
     CHECK(verdict.ok());
@@ -135,12 +135,12 @@ BENCHMARK(BM_ParallelScaling_CqaClosed)
 
 void BM_ParallelScaling_CqaOpen(benchmark::State& state) {
   BenchSetup setup = MakeCqaWorkload();
-  ParallelOptions options{static_cast<int>(state.range(0))};
+  EvalOptions options{.threads = static_cast<int>(state.range(0))};
   // Every key has a certain row (repairs keep >= 1 tuple per group), so
   // the intersection never empties and every repair is evaluated.
   std::unique_ptr<Query> query = MustParse("exists v, w . R(k, v, w)");
   for (auto _ : state) {
-    auto answers = PreferredConsistentAnswers(
+    auto answers = PlannedConsistentAnswers(
         *setup.problem, *setup.priority, RepairFamily::kLocal, *query,
         options);
     CHECK(answers.ok());

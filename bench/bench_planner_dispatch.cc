@@ -19,9 +19,9 @@
 namespace prefrep::bench {
 namespace {
 
-const CqaPlannerOptions& ForcedEnumeration() {
-  static const CqaPlannerOptions forced = [] {
-    CqaPlannerOptions opts;
+const EvalOptions& ForcedEnumeration() {
+  static const EvalOptions forced = [] {
+    EvalOptions opts;
     opts.force_tier = CqaTier::kEnumeration;
     return opts;
   }();
@@ -40,8 +40,7 @@ void BM_PlannerDispatch_ConflictFree_Planned(benchmark::State& state) {
   for (auto _ : state) {
     auto verdict = PlannedConsistentAnswer(*setup.problem, empty,
                                            RepairFamily::kCommon, *query,
-                                           CqaPlannerOptions(),
-                                           &executed);
+                                           {}, &executed);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     KeepAlive(executed.tier);
@@ -88,8 +87,7 @@ void BM_PlannerDispatch_GroundVerdict_Planned(benchmark::State& state) {
   for (auto _ : state) {
     auto verdict = PlannedConsistentAnswer(*setup.problem, empty,
                                            RepairFamily::kAll, *query,
-                                           CqaPlannerOptions(),
-                                           &executed);
+                                           {}, &executed);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     KeepAlive(executed.tier);
@@ -134,8 +132,7 @@ void BM_PlannerDispatch_EmptyPriorityCollapse_Planned(
   for (auto _ : state) {
     auto verdict = PlannedConsistentAnswer(*setup.problem, empty,
                                            RepairFamily::kGlobal, *query,
-                                           CqaPlannerOptions(),
-                                           &executed);
+                                           {}, &executed);
     CHECK(verdict.ok());
     CHECK(*verdict == CqaVerdict::kCertainlyTrue);
     KeepAlive(executed.tier);

@@ -11,6 +11,7 @@
 
 #include "cleaning/cleaning.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "repair/repair.h"
 
@@ -87,8 +88,8 @@ int main() {
   for (const NamedQuery& nq : queries) {
     auto query = ParseQuery(nq.text);
     CHECK(query.ok()) << query.status().ToString();
-    auto verdict = PreferredConsistentAnswer(*problem, newest,
-                                             RepairFamily::kCommon, **query);
+    auto verdict = PlannedConsistentAnswer(*problem, newest,
+                                           RepairFamily::kCommon, **query);
     CHECK(verdict.ok());
     std::printf("  %-32s %s\n", nq.label,
                 std::string(CqaVerdictName(*verdict)).c_str());
@@ -98,8 +99,8 @@ int main() {
   Priority empty = Priority::Empty(problem->graph());
   for (const NamedQuery& nq : queries) {
     auto query = ParseQuery(nq.text);
-    auto verdict = PreferredConsistentAnswer(*problem, empty,
-                                             RepairFamily::kAll, **query);
+    auto verdict = PlannedConsistentAnswer(*problem, empty,
+                                           RepairFamily::kAll, **query);
     std::printf("  %-32s %s\n", nq.label,
                 std::string(CqaVerdictName(*verdict)).c_str());
   }

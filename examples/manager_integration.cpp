@@ -11,6 +11,7 @@
 
 #include "cleaning/cleaning.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "workload/generators.h"
 
@@ -60,11 +61,11 @@ int main() {
   });
   Priority empty = Priority::Empty(problem->graph());
   PrintVerdict("Q1 under Rep (no preferences):",
-               *PreferredConsistentAnswer(*problem, empty, RepairFamily::kAll,
-                                          **q1));
+               *PlannedConsistentAnswer(*problem, empty, RepairFamily::kAll,
+                                        **q1));
   PrintVerdict("Q2 under Rep (no preferences):",
-               *PreferredConsistentAnswer(*problem, empty, RepairFamily::kAll,
-                                          **q2));
+               *PlannedConsistentAnswer(*problem, empty, RepairFamily::kAll,
+                                        **q2));
 
   std::printf("\n== Example 3: source s3 is less reliable than s1, s2 ==\n");
   auto priority = PriorityFromSourceReliability(*problem, {0, 1, 1, 0});
@@ -87,7 +88,7 @@ int main() {
        {RepairFamily::kLocal, RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
         RepairFamily::kCommon}) {
     auto verdict =
-        PreferredConsistentAnswer(*problem, *priority, family, **q2);
+        PlannedConsistentAnswer(*problem, *priority, family, **q2);
     CHECK(verdict.ok());
     std::printf("Q2 under %-6s: %s\n",
                 std::string(RepairFamilyName(family)).c_str(),

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "repair/repair.h"
 
@@ -59,8 +60,8 @@ int main() {
 
   // Without preferences: the classic Arenas-Bertossi-Chomicki semantics.
   Priority empty = Priority::Empty(problem->graph());
-  auto verdict = PreferredConsistentAnswer(*problem, empty,
-                                           RepairFamily::kAll, **query);
+  auto verdict = PlannedConsistentAnswer(*problem, empty,
+                                         RepairFamily::kAll, **query);
   std::printf("\nno priority, Rep semantics: %s\n",
               std::string(CqaVerdictName(*verdict)).c_str());
 
@@ -69,8 +70,8 @@ int main() {
       Priority::Create(problem->graph(), {{apollo_ada, apollo_bob}});
   CHECK(priority.ok());
   for (RepairFamily family : kAllFamilies) {
-    auto preferred = PreferredConsistentAnswer(*problem, *priority, family,
-                                               **query);
+    auto preferred = PlannedConsistentAnswer(*problem, *priority, family,
+                                             **query);
     CHECK(preferred.ok());
     std::printf("with priority, %-6s: %s\n",
                 std::string(RepairFamilyName(family)).c_str(),
@@ -80,8 +81,8 @@ int main() {
   // Open query: which (project, lead) pairs are certain under G-Rep?
   auto open = ParseQuery("Proj(p, l, b)");
   CHECK(open.ok());
-  auto answers = PreferredConsistentAnswers(*problem, *priority,
-                                            RepairFamily::kGlobal, **open);
+  auto answers = PlannedConsistentAnswers(*problem, *priority,
+                                          RepairFamily::kGlobal, **open);
   CHECK(answers.ok());
   std::printf("\ncertain Proj rows under G-Rep:\n");
   for (const Tuple& row : answers->rows) {

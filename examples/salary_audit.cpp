@@ -12,6 +12,7 @@
 #include "cleaning/cleaning.h"
 #include "cqa/aggregation.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "graph/dot.h"
 #include "sql/sql.h"
 
@@ -65,11 +66,10 @@ int main() {
   std::printf("%-14s | %-22s | %s\n", "aggregate", "Rep range",
               "newest-wins G-Rep range");
   for (const Row& row : rows) {
-    auto rep = AggregateConsistentRange(*problem, empty, RepairFamily::kAll,
-                                        "Payroll", "Salary", row.fn);
-    auto pref = AggregateConsistentRange(*problem, newest,
-                                         RepairFamily::kGlobal, "Payroll",
-                                         "Salary", row.fn);
+    auto rep = PlannedAggregateRange(*problem, empty, RepairFamily::kAll,
+                                     "Payroll", "Salary", row.fn);
+    auto pref = PlannedAggregateRange(*problem, newest, RepairFamily::kGlobal,
+                                      "Payroll", "Salary", row.fn);
     CHECK(rep.ok() && pref.ok());
     std::printf("%-14s | %-22s | %s\n", row.label,
                 rep->ToString().c_str(), pref->ToString().c_str());
@@ -85,15 +85,15 @@ int main() {
   auto sql = ParseSql(db,
                       "SELECT p.Name FROM Payroll p WHERE p.Salary >= 130");
   CHECK(sql.ok()) << sql.status().ToString();
-  auto certain = PreferredConsistentAnswers(*problem, newest,
-                                            RepairFamily::kGlobal, **sql);
+  auto certain = PlannedConsistentAnswers(*problem, newest,
+                                          RepairFamily::kGlobal, **sql);
   CHECK(certain.ok());
   std::printf("\ncertainly earning >= 130 (newest-wins, G-Rep):\n");
   for (const Tuple& row : certain->rows) {
     std::printf("  %s\n", row.ToString().c_str());
   }
-  auto baseline = PreferredConsistentAnswers(*problem, empty,
-                                             RepairFamily::kAll, **sql);
+  auto baseline = PlannedConsistentAnswers(*problem, empty,
+                                           RepairFamily::kAll, **sql);
   CHECK(baseline.ok());
   std::printf("under plain Rep the certain set has %zu row(s) — the\n"
               "newest-wins preference turns ada's raise into a certain "

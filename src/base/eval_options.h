@@ -1,25 +1,26 @@
-// EvalOptions: the one consolidated knob struct for every CQA-stack entry
-// point, and the primary options type of the server facade (src/server/).
+// EvalOptions: the one options type of every CQA entry point
+// (cqa/planner.h) and of the server facade (server/session.h).
 //
-// Historically each call threaded `ParallelOptions` (threads + context),
-// `CqaPlannerOptions` (tier forcing + DNF budget) and per-call limits as
-// separate positional parameters — 113 occurrences across 17 files by
-// PR 7. EvalOptions absorbs all of them:
-//
-//   threads     sharding width (ParallelOptions.threads)
-//   force_tier  planner tier override (CqaPlannerOptions.force_tier)
-//   deadline    per-call wall-clock budget; an ExecutionContext is
-//               materialized on demand to enforce it
-//   limits      per-call ExecutionLimits (byte / DNF / repair-list caps)
-//   context     an externally owned ExecutionContext; when set it wins
-//               and `deadline`/`limits` here are ignored (the context
-//               already carries its own)
+//   threads           sharding width of the enumeration tier
+//   force_tier        planner tier override
+//   deadline          per-call wall-clock budget; an ExecutionContext is
+//                     materialized on demand to enforce it
+//   limits            per-call ExecutionLimits (byte / DNF / repair-list
+//                     caps); the planner's DNF budget is
+//                     limits.max_dnf_disjuncts
+//   context           an externally owned ExecutionContext; when set it
+//                     wins and `deadline`/`limits` here are ignored (the
+//                     context already carries its own)
+//   prepared,         resident-server seams: a compiled query and a plan
+//   precomputed_plan  the caller already holds for the same inputs
 //
 // EvalContextScope turns an EvalOptions into the effective per-call
 // governance: it owns a fresh ExecutionContext exactly when the options
 // demand one (deadline armed or non-default limits, and no external
-// context), so ungoverned calls keep taking the historical zero-overhead
-// paths (context == nullptr all the way down).
+// context), so ungoverned calls keep taking the zero-overhead paths
+// (context == nullptr all the way down). ParallelOptions (threads plus
+// that effective context) is the engine-internal form handed to core/
+// and graph/.
 //
 // This header lives in base/ — below core/ and cqa/ — so that both the
 // engine layers and the server facade can name the same struct. CqaTier
@@ -37,6 +38,9 @@
 
 namespace prefrep {
 
+class PreparedQuery;
+struct CqaPlan;
+
 // The CQA planner's execution tiers (see cqa/planner.h for the routing
 // rules; the enum lives here so base-level EvalOptions can carry it).
 enum class CqaTier {
@@ -51,21 +55,39 @@ struct EvalOptions {
   int threads = 1;
 
   // Forces a planner tier instead of planning (differential tests and
-  // benches). Forcing an inapplicable tier fails with kInvalidArgument.
-  std::optional<CqaTier> force_tier;
+  // benches). Forcing kSingleRepair on a database with conflicts, or
+  // kGroundFastPath on a (plan, query) outside its scope, fails with
+  // kInvalidArgument rather than computing an unsound answer; forcing
+  // kGroundFastPath past the DNF budget surfaces kResourceExhausted
+  // instead of falling back. A forced kEnumeration runs the requested
+  // family itself (no P3 normalization): the differential reference.
+  std::optional<CqaTier> force_tier = std::nullopt;
 
   // Per-call wall-clock budget; unset means no deadline. Enforced by a
   // call-scoped ExecutionContext (expiry surfaces as kDeadlineExceeded).
-  std::optional<std::chrono::nanoseconds> deadline;
+  std::optional<std::chrono::nanoseconds> deadline = std::nullopt;
 
   // Per-call resource limits (component-list bytes, DNF caps, repair-list
   // cap). Defaults reproduce the historical constants; leaving them
   // untouched keeps the call on the ungoverned fast path.
-  ExecutionLimits limits;
+  ExecutionLimits limits = {};
 
   // Externally owned context (cooperative cancel, shared governance).
   // When set, it supersedes `deadline` and `limits` above.
   ExecutionContext* context = nullptr;
+
+  // A PreparedQuery previously compiled against problem.db() for the SAME
+  // query: tiers 0 and 2 then skip PreparedQuery::Compile and evaluate
+  // private copies of it (the object itself is never mutated, so one
+  // cached master can serve concurrent calls). Owned by the caller; must
+  // outlive the call.
+  const PreparedQuery* prepared = nullptr;
+
+  // A CqaPlan previously returned by ExplainPlan for the SAME (problem,
+  // priority, family, query, request, limits.max_dnf_disjuncts) inputs:
+  // the dispatch then skips re-planning (including the DNF pre-attempt).
+  // Ignored when force_tier is set. Owned by the caller.
+  const CqaPlan* precomputed_plan = nullptr;
 
   // True iff the options need a call-scoped context to be honored (some
   // governance requested but no external context supplied).
@@ -74,22 +96,13 @@ struct EvalOptions {
            (deadline.has_value() || !(limits == ExecutionLimits{}));
   }
 
-  // The legacy ParallelOptions view of these options, against `effective`
-  // (the external context or an EvalContextScope-owned one).
+  // The engine-internal view of these options, against `effective` (the
+  // external context or an EvalContextScope-owned one).
   ParallelOptions Parallel(ExecutionContext* effective) const {
     ParallelOptions parallel;
     parallel.threads = threads;
     parallel.context = effective;
     return parallel;
-  }
-
-  // Lifts a legacy ParallelOptions into the consolidated form (the
-  // deprecated wrappers delegate through this).
-  static EvalOptions FromParallel(const ParallelOptions& parallel) {
-    EvalOptions options;
-    options.threads = parallel.threads;
-    options.context = parallel.context;
-    return options;
   }
 };
 

@@ -453,28 +453,16 @@ bool EnumeratePreferredRepairs(
 
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    size_t limit) {
-  return PreferredRepairs(graph, priority, family, ParallelOptions{}, limit);
-}
-
-Result<std::vector<DynamicBitset>> PreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const EvalOptions& options) {
+    const EvalOptions& options) try {
   EvalContextScope scope(options);
-  return PreferredRepairs(graph, priority, family, options.Parallel(scope.context()),
-                          options.limits.max_repair_list);
-}
-
-Result<std::vector<DynamicBitset>> PreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options, size_t limit) try {
-  ExecutionContext* context = options.context;
+  ExecutionContext* context = scope.context();
+  size_t limit = options.limits.max_repair_list;
   if (context != nullptr) {
     limit = std::min(limit, context->limits().max_repair_list);
   }
   std::vector<DynamicBitset> repairs;
   bool complete = EnumeratePreferredRepairs(
-      graph, priority, family, options,
+      graph, priority, family, options.Parallel(context),
       [&repairs, limit, context](const DynamicBitset& r) {
         if (repairs.size() >= limit) return false;
         repairs.push_back(r);

@@ -87,25 +87,15 @@ bool EnumeratePreferredRepairs(
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback);
 
-// Materializes the family, failing with kResourceExhausted beyond `limit`
-// (clamped to options.context's max_repair_list when a context is
-// attached); an interrupted context fails with its kCancelled /
-// kDeadlineExceeded status instead.
+// Materializes the family. Threads, deadline and the list cap all come
+// from `options`; the cap is options.limits.max_repair_list (clamped to
+// options.context's max_repair_list when an external context is
+// attached). Past the cap it fails with kResourceExhausted; an
+// interrupted context fails with its kCancelled / kDeadlineExceeded
+// status instead.
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    size_t limit = kDefaultRepairListLimit);
-Result<std::vector<DynamicBitset>> PreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options, size_t limit = kDefaultRepairListLimit);
-
-// Consolidated-options form: threads, deadline and the repair-list cap all
-// come from `options` (the cap from options.limits.max_repair_list — one
-// source of truth with every other enumerator, see
-// base/exec_context.h kDefaultRepairListLimit). Prefer this overload; the
-// positional forms above survive as thin compatibility wrappers.
-Result<std::vector<DynamicBitset>> PreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const EvalOptions& options);
+    const EvalOptions& options = {});
 
 // Per-component family lists in their compact local universes, together
 // with the decomposition and projected priorities that define them. The

@@ -153,17 +153,6 @@ Result<AggregateRange> AggregateConsistentRange(
       "allocation failed during aggregate range enumeration");
 }
 
-Result<AggregateRange> AggregateConsistentRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options) {
-  EvalContextScope scope(options);
-  return AggregateConsistentRange(problem, priority, family, relation,
-                                  attribute, fn,
-                                  options.Parallel(scope.context()));
-}
-
 Result<AggregateRange> CountStarRange(const RepairProblem& problem,
                                       std::string_view relation,
                                       ExecutionContext* context) {

@@ -50,24 +50,15 @@ struct AggregateRange {
 // Exact range of `fn` applied to attribute `attribute` of relation
 // `relation` across all repairs of `family` under `priority`.
 // Exponential in the number of preferred repairs (co-NP-hard in general,
-// per [2]); intended for moderate instances. `options.context`, when
-// set, is polled once per repair; expiry/cancel surfaces as the
-// context's latched kCancelled / kDeadlineExceeded status.
+// per [2]); intended for moderate instances. The planner's enumeration
+// tier: callers go through PlannedAggregateRange (cqa/planner.h).
+// `options.context`, when set, is polled once per repair; expiry/cancel
+// surfaces as the context's latched kCancelled / kDeadlineExceeded status.
 Result<AggregateRange> AggregateConsistentRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
     const ParallelOptions& options = {});
-
-// Consolidated-options form: threads, deadline and limits come from one
-// EvalOptions (base/eval_options.h), enforced by a call-scoped context
-// when no external one is attached. Prefer this; the positional form
-// above survives as a compatibility wrapper.
-Result<AggregateRange> AggregateConsistentRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options);
 
 // Polynomial special case: the COUNT(*) range of `relation` under plain
 // Rep. Repair sizes decompose over connected components of the conflict

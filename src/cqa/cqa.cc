@@ -11,7 +11,6 @@
 #include "base/exec_context.h"
 #include "base/failpoint.h"
 #include "base/thread_pool.h"
-#include "cqa/planner.h"
 #include "graph/components.h"
 #include "query/normal_form.h"
 #include "query/prepared.h"
@@ -277,36 +276,16 @@ Result<CqaVerdict> SerialConsistentAnswer(const PreparedQuery& prepared,
 
 }  // namespace
 
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             ParallelOptions options) {
-  CqaPlannerOptions planner_options;
-  planner_options.parallel = options;
-  return PlannedConsistentAnswer(problem, priority, family, query,
-                                 planner_options);
-}
-
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             const EvalOptions& options) {
-  return PlannedConsistentAnswer(problem, priority, family, query, options);
-}
-
-namespace {
-
-// The enumeration core once a compiled query is in hand; both the
-// Query-compiling entry point and the prepared-reusing server seam land
-// here. `prepared` is evaluated in place, so it must be privately owned
-// by this call (evaluation reuses internal scratch buffers).
-Result<CqaVerdict> EnumeratedAnswerWithPrepared(const RepairProblem& problem,
-                                                const Priority& priority,
-                                                RepairFamily family,
-                                                const PreparedQuery& prepared,
-                                                ParallelOptions options) try {
+Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
+                                              const Priority& priority,
+                                              RepairFamily family,
+                                              PreparedQuery prepared,
+                                              ParallelOptions options) try {
+  if (!prepared.is_closed()) {
+    return Status::InvalidArgument(
+        "consistent answers need a closed query (prepared query has free "
+        "variables)");
+  }
   Result<CqaVerdict> verdict = RunCqa(
       problem, priority, family, options,
       [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
@@ -324,66 +303,6 @@ Result<CqaVerdict> EnumeratedAnswerWithPrepared(const RepairProblem& problem,
   return verdict;
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
-}
-
-}  // namespace
-
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              ParallelOptions options) try {
-  if (!query.IsClosed()) {
-    PREFREP_RETURN_IF_ERROR(ValidateQuery(problem.db(), query));
-    return Status::InvalidArgument(
-        "consistent answers need a closed query; got " + query.ToString());
-  }
-  // Compile once; the enumeration loop below pays only for the per-repair
-  // quantifier search (query/prepared.h).
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  return EnumeratedAnswerWithPrepared(problem, priority, family, prepared,
-                                      options);
-} catch (const std::bad_alloc&) {
-  return Status::ResourceExhausted("allocation failed during enumerated CQA");
-}
-
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const PreparedQuery& prepared,
-                                              ParallelOptions options) try {
-  if (!prepared.is_closed()) {
-    return Status::InvalidArgument(
-        "consistent answers need a closed query (prepared query has free "
-        "variables)");
-  }
-  // Private copy: the shared cached master is never evaluated directly
-  // (evaluation reuses internal scratch), so concurrent calls can share it.
-  PreparedQuery local(prepared);
-  return EnumeratedAnswerWithPrepared(problem, priority, family, local,
-                                      options);
-} catch (const std::bad_alloc&) {
-  return Status::ResourceExhausted("allocation failed during enumerated CQA");
-}
-
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query, ParallelOptions options) {
-  PREFREP_ASSIGN_OR_RETURN(
-      CqaVerdict verdict,
-      PreferredConsistentAnswer(problem, priority, family, query, options));
-  return verdict == CqaVerdict::kCertainlyTrue;
-}
-
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query,
-                                const EvalOptions& options) {
-  PREFREP_ASSIGN_OR_RETURN(
-      CqaVerdict verdict,
-      PreferredConsistentAnswer(problem, priority, family, query, options));
-  return verdict == CqaVerdict::kCertainlyTrue;
 }
 
 namespace {
@@ -488,34 +407,11 @@ Result<OpenAnswer> SerialConsistentAnswers(const PreparedQuery& prepared,
 
 }  // namespace
 
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              ParallelOptions options) {
-  CqaPlannerOptions planner_options;
-  planner_options.parallel = options;
-  return PlannedConsistentAnswers(problem, priority, family, query,
-                                  planner_options);
-}
-
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              const EvalOptions& options) {
-  return PlannedConsistentAnswers(problem, priority, family, query, options);
-}
-
-namespace {
-
-// Open-answer twin of EnumeratedAnswerWithPrepared; same private-ownership
-// contract for `prepared`.
-Result<OpenAnswer> EnumeratedAnswersWithPrepared(const RepairProblem& problem,
-                                                 const Priority& priority,
-                                                 RepairFamily family,
-                                                 const PreparedQuery& prepared,
-                                                 ParallelOptions options) try {
+Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
+                                               const Priority& priority,
+                                               RepairFamily family,
+                                               PreparedQuery prepared,
+                                               ParallelOptions options) try {
   Result<OpenAnswer> answers = RunCqa(
       problem, priority, family, options,
       [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
@@ -528,35 +424,6 @@ Result<OpenAnswer> EnumeratedAnswersWithPrepared(const RepairProblem& problem,
     return options.context->StatusWithStats();
   }
   return answers;
-} catch (const std::bad_alloc&) {
-  return Status::ResourceExhausted("allocation failed during enumerated CQA");
-}
-
-}  // namespace
-
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const Query& query,
-                                               ParallelOptions options) try {
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  return EnumeratedAnswersWithPrepared(problem, priority, family, prepared,
-                                       options);
-} catch (const std::bad_alloc&) {
-  return Status::ResourceExhausted("allocation failed during enumerated CQA");
-}
-
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const PreparedQuery& prepared,
-                                               ParallelOptions options) try {
-  // Private copy of the caller's cached master; see the closed-query
-  // overload above for the sharing contract.
-  PreparedQuery local(prepared);
-  return EnumeratedAnswersWithPrepared(problem, priority, family, local,
-                                       options);
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
@@ -683,7 +550,7 @@ Result<bool> GroundConsistentAnswer(const RepairProblem& problem,
   if (!query.IsGround() || !query.IsQuantifierFree()) {
     return Status::InvalidArgument(
         "GroundConsistentAnswer handles ground quantifier-free queries; "
-        "use PreferredConsistentAnswer for " +
+        "use PlannedConsistentAnswer for " +
         query.ToString());
   }
   std::unique_ptr<Query> negated = Query::Not(query.Clone());
@@ -705,7 +572,7 @@ Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
   if (!IsNegationFree(query)) {
     return Status::InvalidArgument(
         "GroundConsistentOpenAnswers needs a negation-free (monotone) "
-        "query; use PreferredConsistentAnswers");
+        "query; use PlannedConsistentAnswers");
   }
   // Candidates: answers over the full database (a superset of every
   // repair's answers, by monotonicity).

@@ -5,19 +5,18 @@
 // three-valued verdict: certainly true (holds in all), certainly false
 // (holds in none), or undetermined (differs between preferred repairs).
 //
+// This header holds the engines; the user-facing entry points are the
+// Planned* functions in cqa/planner.h, which pick between them per call.
 // The generic engine enumerates preferred repairs with two-sided
 // short-circuiting; for the family Rep and *ground quantifier-free*
 // queries, GroundConsistentAnswer implements the polynomial
 // conflict-graph algorithm (Chomicki–Marcinkowski; first row of Fig. 5).
-// The Preferred* entry points route through the planner in
-// cqa/planner.h, which picks between these engines per call.
 
 #ifndef PREFREP_CQA_CQA_H_
 #define PREFREP_CQA_CQA_H_
 
 #include <string_view>
 
-#include "base/eval_options.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
@@ -38,32 +37,14 @@ enum class CqaVerdict {
 
 std::string_view CqaVerdictName(CqaVerdict verdict);
 
-// Evaluates the closed query in every preferred repair of `family` under
-// `priority`. Routes through the CQA planner (cqa/planner.h): trivial
-// instances and polynomially answerable plans never touch the repair
-// product; everything else runs the enumeration engine below. The
-// verdict is identical whichever tier fires (pinned by the differential
-// suite in tests/planner_test.cc).
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             ParallelOptions options = {});
-
-// Consolidated-options form (threads, force_tier, deadline, limits,
-// context in one EvalOptions — see base/eval_options.h). Prefer this and
-// its siblings below over the positional ParallelOptions forms, which
-// survive as compatibility wrappers.
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             const EvalOptions& options);
-
-// The tier-2 engine, planner-free: always evaluates the closed query in
+// The tier-2 engine, planner-free: evaluates the closed compiled query in
 // every preferred repair (enumeration stops as soon as both a satisfying
-// and a falsifying repair have been seen). The planner's fallback and
-// the reference side of the differential tests.
+// and a falsifying repair have been seen). The planner's enumeration tier
+// and, through a forced kEnumeration, the reference side of the
+// differential tests. `prepared` must have been compiled against
+// problem.db(); it is taken by value because evaluation reuses its
+// internal scratch, so a caller sharing one cached master across
+// concurrent calls passes it as an lvalue and each call works on a copy.
 //
 // options.threads > 1 shards the work two ways: per-component family
 // lists are materialized by parallel workers (core/families.h), then the
@@ -75,47 +56,11 @@ Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
 Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Priority& priority,
                                               RepairFamily family,
-                                              const Query& query,
+                                              PreparedQuery prepared,
                                               ParallelOptions options = {});
 
-// Prepared-query seam for resident servers (src/server/session.h):
-// `prepared` must have been compiled against problem.db() and stays
-// untouched — the engine evaluates a private copy, so one cached master
-// can serve concurrent calls. Skips recompilation; otherwise identical
-// to the Query overload.
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const PreparedQuery& prepared,
-                                              ParallelOptions options = {});
-
-// Convenience: true iff `true` is the X-consistent answer (Definition 3).
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query,
-                                ParallelOptions options = {});
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query, const EvalOptions& options);
-
-// Consistent answers to an *open* query: the assignments of its free
-// variables satisfying it in every preferred repair (the intersection of
-// the per-repair answer sets). Routes through the CQA planner like
-// PreferredConsistentAnswer.
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              ParallelOptions options = {});
-
-// Consolidated-options form; see PreferredConsistentAnswer above.
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              const EvalOptions& options);
-
-// Tier-2 engine for open queries, planner-free.
+// Tier-2 engine for open queries, planner-free; same contract for
+// `prepared`.
 //
 // options.threads > 1 shards exactly like EnumeratedConsistentAnswer;
 // each worker intersects the answer sets of its repair slice and the
@@ -126,15 +71,7 @@ Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
 Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                const Priority& priority,
                                                RepairFamily family,
-                                               const Query& query,
-                                               ParallelOptions options = {});
-
-// Prepared-query seam; see EnumeratedConsistentAnswer's prepared overload
-// for the sharing contract.
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const PreparedQuery& prepared,
+                                               PreparedQuery prepared,
                                                ParallelOptions options = {});
 
 // Polynomial-time consistent answers for ground quantifier-free queries

@@ -1,6 +1,7 @@
 #include "cqa/planner.h"
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "query/normal_form.h"
@@ -69,7 +70,7 @@ bool DnfFitsBudget(const Query& query, CqaRequest request,
 
 CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
                     RepairFamily family, const Query& query,
-                    CqaRequest request, const CqaPlannerOptions& options) {
+                    CqaRequest request, const EvalOptions& options) {
   CqaPlan plan;
   plan.requested_family = family;
   plan.effective_family = EffectiveFamily(priority, family);
@@ -92,7 +93,7 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
   if (plan.effective_family == RepairFamily::kAll) {
     if (request == CqaRequest::kVerdict && shape.ground &&
         shape.quantifier_free) {
-      if (DnfFitsBudget(query, request, options.max_dnf_disjuncts)) {
+      if (DnfFitsBudget(query, request, options.limits.max_dnf_disjuncts)) {
         plan.tier = CqaTier::kGroundFastPath;
         plan.reason = FamilyNote(plan) +
                       "; ground quantifier-free query -> polynomial "
@@ -105,7 +106,7 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
     }
     if (request == CqaRequest::kOpenAnswers && shape.quantifier_free &&
         shape.negation_free) {
-      if (DnfFitsBudget(query, request, options.max_dnf_disjuncts)) {
+      if (DnfFitsBudget(query, request, options.limits.max_dnf_disjuncts)) {
         plan.tier = CqaTier::kGroundFastPath;
         plan.reason = FamilyNote(plan) +
                       "; quantifier-free negation-free query -> monotone "
@@ -127,37 +128,17 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
 
 namespace {
 
-// Runs the tier-0 evaluation. PreparedQuery (not the reference
-// evaluator) on purpose: the enumeration tier evaluates through
-// PreparedQuery, and the two deliberately diverge on shadowed binder
-// names (see query/prepared.h) — tier choice must never change an
-// answer. `cached`, when set, is a caller-owned master compiled for the
-// same query: evaluation runs on a private copy (evaluation reuses
-// internal scratch, so the shared master is never touched).
-Result<CqaVerdict> SingleRepairVerdict(const RepairProblem& problem,
-                                       const Query& query,
-                                       const PreparedQuery* cached) {
-  if (cached != nullptr) {
-    PreparedQuery local(*cached);
-    PREFREP_ASSIGN_OR_RETURN(bool holds, local.EvalClosed(nullptr));
-    return holds ? CqaVerdict::kCertainlyTrue : CqaVerdict::kCertainlyFalse;
-  }
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  PREFREP_ASSIGN_OR_RETURN(bool holds, prepared.EvalClosed(nullptr));
-  return holds ? CqaVerdict::kCertainlyTrue : CqaVerdict::kCertainlyFalse;
-}
-
-Result<OpenAnswer> SingleRepairAnswers(const RepairProblem& problem,
-                                       const Query& query,
-                                       const PreparedQuery* cached) {
-  if (cached != nullptr) {
-    PreparedQuery local(*cached);
-    return local.EvalOpen(nullptr);
-  }
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  return prepared.EvalOpen(nullptr);
+// A privately owned compiled query for tiers 0 and 2: a copy of the
+// caller's cached master when one is given (evaluation reuses internal
+// scratch, so the shared master is never touched), a fresh compile
+// otherwise. PreparedQuery (not the reference evaluator) on purpose in
+// tier 0 too: the two deliberately diverge on shadowed binder names (see
+// query/prepared.h), and tier choice must never change an answer.
+Result<PreparedQuery> OwnPrepared(const RepairProblem& problem,
+                                  const Query& query,
+                                  const PreparedQuery* cached) {
+  if (cached != nullptr) return PreparedQuery(*cached);
+  return PreparedQuery::Compile(problem.db(), query);
 }
 
 Status ForcedTierError(CqaTier tier, const std::string& why) {
@@ -203,22 +184,26 @@ Status CheckForcedTier(const RepairProblem& problem, const CqaPlan& plan,
   return Status::Internal("unknown tier");
 }
 
-}  // namespace
-
-Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
-                                           const Priority& priority,
-                                           RepairFamily family,
-                                           const Query& query,
-                                           const CqaPlannerOptions& options,
-                                           CqaPlan* executed) {
-  // Entry-point contract shared with the enumeration engine: closed
-  // queries only, same diagnostics either way.
-  if (!query.IsClosed()) {
-    PREFREP_RETURN_IF_ERROR(ValidateQuery(problem.db(), query));
-    return Status::InvalidArgument(
-        "consistent answers need a closed query; got " + query.ToString());
+// Plan + dispatch shared by the verdict (T = CqaVerdict) and open-answer
+// (T = OpenAnswer) entry points: the two differ only in which engine each
+// tier calls.
+template <typename T>
+Result<T> PlanAndRun(const RepairProblem& problem, const Priority& priority,
+                     RepairFamily family, const Query& query,
+                     const EvalOptions& options, CqaPlan* executed) {
+  constexpr bool kVerdict = std::is_same_v<T, CqaVerdict>;
+  constexpr CqaRequest kRequest =
+      kVerdict ? CqaRequest::kVerdict : CqaRequest::kOpenAnswers;
+  if constexpr (kVerdict) {
+    // Closed queries only, with the same diagnostics on every tier.
+    if (!query.IsClosed()) {
+      PREFREP_RETURN_IF_ERROR(ValidateQuery(problem.db(), query));
+      return Status::InvalidArgument(
+          "consistent answers need a closed query; got " + query.ToString());
+    }
   }
-  ExecutionContext* context = options.parallel.context;
+  EvalContextScope scope(options);
+  ExecutionContext* context = scope.context();
   if (context != nullptr && context->interrupted()) {
     return context->StatusWithStats();
   }
@@ -228,22 +213,36 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
   // forced call re-plans so CheckForcedTier sees the forced tier.
   CqaPlan plan = (!forced && options.precomputed_plan != nullptr)
                      ? *options.precomputed_plan
-                     : ExplainPlan(problem, priority, family, query,
-                                   CqaRequest::kVerdict, options);
+                     : ExplainPlan(problem, priority, family, query, kRequest,
+                                   options);
   if (forced) {
-    PREFREP_RETURN_IF_ERROR(
-        CheckForcedTier(problem, plan, query, CqaRequest::kVerdict));
+    PREFREP_RETURN_IF_ERROR(CheckForcedTier(problem, plan, query, kRequest));
   }
   if (executed != nullptr) *executed = plan;
   switch (plan.tier) {
-    case CqaTier::kSingleRepair:
-      return SingleRepairVerdict(problem, query, options.prepared);
+    case CqaTier::kSingleRepair: {
+      PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                               OwnPrepared(problem, query, options.prepared));
+      if constexpr (kVerdict) {
+        PREFREP_ASSIGN_OR_RETURN(bool holds, prepared.EvalClosed(nullptr));
+        return holds ? CqaVerdict::kCertainlyTrue
+                     : CqaVerdict::kCertainlyFalse;
+      } else {
+        return prepared.EvalOpen(nullptr);
+      }
+    }
     case CqaTier::kGroundFastPath: {
-      Result<CqaVerdict> verdict = GroundConsistentVerdict(
-          problem, query, options.max_dnf_disjuncts, context);
-      if (forced || verdict.ok() ||
-          verdict.status().code() != StatusCode::kResourceExhausted) {
-        return verdict;
+      const size_t budget = options.limits.max_dnf_disjuncts;
+      Result<T> result = [&] {
+        if constexpr (kVerdict) {
+          return GroundConsistentVerdict(problem, query, budget, context);
+        } else {
+          return GroundConsistentOpenAnswers(problem, query, budget, context);
+        }
+      }();
+      if (forced || result.ok() ||
+          result.status().code() != StatusCode::kResourceExhausted) {
+        return result;
       }
       // Runtime fallback: the DNF blew the budget after all. ExplainPlan
       // pre-checks the conversion, so this is belt-and-braces.
@@ -261,69 +260,48 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
   // test; planned enumeration runs the (equivalent) effective family.
   RepairFamily enumerate_as =
       forced ? plan.requested_family : plan.effective_family;
-  if (options.prepared != nullptr) {
+  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                           OwnPrepared(problem, query, options.prepared));
+  if constexpr (kVerdict) {
     return EnumeratedConsistentAnswer(problem, priority, enumerate_as,
-                                      *options.prepared, options.parallel);
+                                      std::move(prepared),
+                                      options.Parallel(context));
+  } else {
+    return EnumeratedConsistentAnswers(problem, priority, enumerate_as,
+                                       std::move(prepared),
+                                       options.Parallel(context));
   }
-  return EnumeratedConsistentAnswer(problem, priority, enumerate_as, query,
-                                    options.parallel);
+}
+
+}  // namespace
+
+Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
+                                           const Priority& priority,
+                                           RepairFamily family,
+                                           const Query& query,
+                                           const EvalOptions& options,
+                                           CqaPlan* executed) {
+  return PlanAndRun<CqaVerdict>(problem, priority, family, query, options,
+                                executed);
 }
 
 Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
                                             const Priority& priority,
                                             RepairFamily family,
                                             const Query& query,
-                                            const CqaPlannerOptions& options,
+                                            const EvalOptions& options,
                                             CqaPlan* executed) {
-  ExecutionContext* context = options.parallel.context;
-  if (context != nullptr && context->interrupted()) {
-    return context->StatusWithStats();
-  }
-  const bool forced = options.force_tier.has_value();
-  CqaPlan plan = (!forced && options.precomputed_plan != nullptr)
-                     ? *options.precomputed_plan
-                     : ExplainPlan(problem, priority, family, query,
-                                   CqaRequest::kOpenAnswers, options);
-  if (forced) {
-    PREFREP_RETURN_IF_ERROR(
-        CheckForcedTier(problem, plan, query, CqaRequest::kOpenAnswers));
-  }
-  if (executed != nullptr) *executed = plan;
-  switch (plan.tier) {
-    case CqaTier::kSingleRepair:
-      return SingleRepairAnswers(problem, query, options.prepared);
-    case CqaTier::kGroundFastPath: {
-      Result<OpenAnswer> answers = GroundConsistentOpenAnswers(
-          problem, query, options.max_dnf_disjuncts, context);
-      if (forced || answers.ok() ||
-          answers.status().code() != StatusCode::kResourceExhausted) {
-        return answers;
-      }
-      plan.tier = CqaTier::kEnumeration;
-      plan.reason = FamilyNote(plan) +
-                    "; DNF budget exceeded at runtime -> enumeration";
-      if (executed != nullptr) *executed = plan;
-      break;
-    }
-    case CqaTier::kEnumeration:
-      break;
-  }
-  RepairFamily enumerate_as =
-      forced ? plan.requested_family : plan.effective_family;
-  if (options.prepared != nullptr) {
-    return EnumeratedConsistentAnswers(problem, priority, enumerate_as,
-                                       *options.prepared, options.parallel);
-  }
-  return EnumeratedConsistentAnswers(problem, priority, enumerate_as, query,
-                                     options.parallel);
+  return PlanAndRun<OpenAnswer>(problem, priority, family, query, options,
+                                executed);
 }
 
 Result<AggregateRange> PlannedAggregateRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
-    const CqaPlannerOptions& options, CqaPlan* executed) {
-  ExecutionContext* context = options.parallel.context;
+    const EvalOptions& options, CqaPlan* executed) {
+  EvalContextScope scope(options);
+  ExecutionContext* context = scope.context();
   if (context != nullptr && context->interrupted()) {
     return context->StatusWithStats();
   }
@@ -364,58 +342,7 @@ Result<AggregateRange> PlannedAggregateRange(
   RepairFamily enumerate_as =
       forced ? plan.requested_family : plan.effective_family;
   return AggregateConsistentRange(problem, priority, enumerate_as, relation,
-                                  attribute, fn, options.parallel);
-}
-
-namespace {
-
-// Lowers an EvalOptions onto the positional planner knobs. The returned
-// options borrow `effective` (the EvalContextScope's context, possibly
-// null), so they must not outlive the scope.
-CqaPlannerOptions LowerEvalOptions(const EvalOptions& options,
-                                   ExecutionContext* effective) {
-  CqaPlannerOptions planner_options;
-  planner_options.force_tier = options.force_tier;
-  planner_options.max_dnf_disjuncts = options.limits.max_dnf_disjuncts;
-  planner_options.parallel = options.Parallel(effective);
-  return planner_options;
-}
-
-}  // namespace
-
-Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
-                                           const Priority& priority,
-                                           RepairFamily family,
-                                           const Query& query,
-                                           const EvalOptions& options,
-                                           CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedConsistentAnswer(problem, priority, family, query,
-                                 LowerEvalOptions(options, scope.context()),
-                                 executed);
-}
-
-Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
-                                            const Priority& priority,
-                                            RepairFamily family,
-                                            const Query& query,
-                                            const EvalOptions& options,
-                                            CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedConsistentAnswers(problem, priority, family, query,
-                                  LowerEvalOptions(options, scope.context()),
-                                  executed);
-}
-
-Result<AggregateRange> PlannedAggregateRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options, CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedAggregateRange(problem, priority, family, relation, attribute,
-                               fn, LowerEvalOptions(options, scope.context()),
-                               executed);
+                                  attribute, fn, options.Parallel(context));
 }
 
 }  // namespace prefrep

@@ -19,13 +19,16 @@
 //     GroundConsistentOpenAnswers, and COUNT(*) aggregation to
 //     CountStarRange. Data-polynomial; never enumerates repairs.
 //   Tier 2, kEnumeration: the sharded repair-product engine
-//     (EnumeratedConsistentAnswer[s]) — always sound, exponential in the
-//     worst case.
+//     (EnumeratedConsistentAnswer[s], AggregateConsistentRange) — always
+//     sound, exponential in the worst case.
 //
-// ExplainPlan exposes the decision so tests, benches, and the shell can
-// assert which tier fires; the Planned* entry points plan and execute,
-// reporting the tier that actually ran (a tier-1 plan whose DNF
-// conversion blows the budget falls back to tier 2 at runtime).
+// The Planned* functions below are THE consistent-query-answering entry
+// points: one per answer kind (verdict, open answers, aggregate range),
+// each taking one EvalOptions. They plan and execute, reporting the tier
+// that actually ran (a tier-1 plan whose DNF conversion blows the budget
+// falls back to tier 2 at runtime). ExplainPlan exposes the decision
+// without executing, so tests, benches, and the shell can assert which
+// tier fires. The Session facade (server/session.h) adds caching on top.
 //
 // Equivalence of the tiers is pinned by the randomized differential
 // suite in tests/planner_test.cc: planner-forced fast paths against
@@ -35,13 +38,11 @@
 #ifndef PREFREP_CQA_PLANNER_H_
 #define PREFREP_CQA_PLANNER_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "base/eval_options.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "cqa/aggregation.h"
 #include "cqa/cqa.h"
 #include "core/families.h"
@@ -50,8 +51,6 @@
 #include "repair/repair.h"
 
 namespace prefrep {
-
-class PreparedQuery;
 
 // CqaTier itself lives in base/eval_options.h (so the consolidated
 // EvalOptions can carry force_tier below the cqa layer); this header is
@@ -64,8 +63,8 @@ std::string_view CqaTierName(CqaTier tier);
 // handle (a closed ground query has a polynomial verdict; an open query
 // needs quantifier-freeness and monotonicity instead).
 enum class CqaRequest {
-  kVerdict,      // PreferredConsistentAnswer (closed query)
-  kOpenAnswers,  // PreferredConsistentAnswers
+  kVerdict,      // PlannedConsistentAnswer (closed query)
+  kOpenAnswers,  // PlannedConsistentAnswers
 };
 
 struct CqaPlan {
@@ -84,34 +83,9 @@ struct CqaPlan {
   std::string ToString() const;
 };
 
-struct CqaPlannerOptions {
-  // Forces a tier instead of planning (the differential tests and the
-  // dispatch bench). Forcing kSingleRepair on a database with conflicts,
-  // or kGroundFastPath on a (plan, query) outside its scope, fails with
-  // kInvalidArgument rather than computing an unsound answer; forcing
-  // kGroundFastPath past the DNF budget surfaces kResourceExhausted
-  // instead of falling back.
-  std::optional<CqaTier> force_tier;
-  // DNF budget for the tier-1 ground engine. ExplainPlan pre-checks the
-  // conversion under this budget (query-size-dependent work only), so
-  // oversized queries plan straight to tier 2.
-  size_t max_dnf_disjuncts = kDefaultDnfDisjunctBudget;
-  // Tier-2 sharding knob, forwarded to the enumeration engine.
-  ParallelOptions parallel;
-
-  // --- resident-server seams (src/server/session.h) -----------------------
-  // A PreparedQuery previously compiled against problem.db() for the SAME
-  // query: tier 0 and tier 2 then skip PreparedQuery::Compile and evaluate
-  // private copies of it (the object itself is never mutated, so one
-  // cached master can serve concurrent calls). Owned by the caller; must
-  // outlive the call.
-  const PreparedQuery* prepared = nullptr;
-  // A CqaPlan previously returned by ExplainPlan for the SAME
-  // (problem, priority, family, query, request, max_dnf_disjuncts) inputs:
-  // the dispatch then skips re-planning (including the DNF pre-attempt).
-  // Ignored when force_tier is set. Owned by the caller.
-  const CqaPlan* precomputed_plan = nullptr;
-};
+// Kept only for the serving benchmark in servebench/, whose sources are
+// frozen; nothing else may use this name.
+using CqaPlannerOptions = EvalOptions;
 
 // Classifies (query shape, family, priority shape, instance shape)
 // without touching the repair space. Deterministic and cheap: the only
@@ -120,61 +94,34 @@ struct CqaPlannerOptions {
 // size, capped by the budget — never data-dependent).
 CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
                     RepairFamily family, const Query& query,
-                    CqaRequest request, const CqaPlannerOptions& options = {});
+                    CqaRequest request, const EvalOptions& options = {});
 
-// Plan + dispatch for PreferredConsistentAnswer. `executed` (optional)
-// receives the plan that actually ran, after any runtime fallback.
+// The X-consistent answer to a closed query (§2.3): certainly true,
+// certainly false or undetermined across the preferred repairs of
+// `family` under `priority`. `executed` (optional) receives the plan that
+// actually ran, after any runtime fallback. The verdict is identical
+// whichever tier fires (pinned by tests/planner_test.cc).
 Result<CqaVerdict> PlannedConsistentAnswer(
     const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query,
-    const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
+    RepairFamily family, const Query& query, const EvalOptions& options = {},
+    CqaPlan* executed = nullptr);
 
-// Plan + dispatch for PreferredConsistentAnswers (open queries; a closed
-// query degenerates to the zero-variable answer set).
+// Consistent answers to an open query: the assignments of its free
+// variables satisfying it in every preferred repair (a closed query
+// degenerates to the zero-variable answer set).
 Result<OpenAnswer> PlannedConsistentAnswers(
     const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query,
-    const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
+    RepairFamily family, const Query& query, const EvalOptions& options = {},
+    CqaPlan* executed = nullptr);
 
-// Plan + dispatch for aggregation ranges: COUNT under a Rep-equivalent
-// plan routes to the polynomial per-component CountStarRange; everything
-// else enumerates via AggregateConsistentRange (under the effective
-// family). Conflict-free instances aggregate the database once.
+// Aggregation ranges: COUNT under a Rep-equivalent plan routes to the
+// polynomial per-component CountStarRange; everything else enumerates via
+// AggregateConsistentRange (under the effective family).
 Result<AggregateRange> PlannedAggregateRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
-    const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
-
-// ---------------------------------------------------------------------------
-// Consolidated-options forms. One EvalOptions carries what used to be
-// spread across CqaPlannerOptions + ParallelOptions + ad-hoc budget
-// parameters: threads, force_tier, deadline, ExecutionLimits, context.
-// Deadline/limits are enforced by a call-scoped ExecutionContext
-// (EvalContextScope) when no external context is attached. Prefer these —
-// and the Session facade in src/server/session.h, which adds caching —
-// over the positional forms above.
-//
-// NOTE: passing a braced `{}` as the options argument is ambiguous between
-// the two overload sets; spell the type (CqaPlannerOptions() or
-// EvalOptions()) when also passing `executed`.
-// ---------------------------------------------------------------------------
-
-Result<CqaVerdict> PlannedConsistentAnswer(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query, const EvalOptions& options,
-    CqaPlan* executed = nullptr);
-
-Result<OpenAnswer> PlannedConsistentAnswers(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query, const EvalOptions& options,
-    CqaPlan* executed = nullptr);
-
-Result<AggregateRange> PlannedAggregateRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options, CqaPlan* executed = nullptr);
+    const EvalOptions& options = {}, CqaPlan* executed = nullptr);
 
 }  // namespace prefrep
 

@@ -197,6 +197,22 @@ class Parser {
                               std::to_string(Current().position));
   }
 
+  // Runs `parse` one syntactic nesting level (negation, parenthesis,
+  // quantifier body) deeper. Each level costs a few stack frames of
+  // recursive descent, so hostile input is refused with a parse error
+  // well before it could exhaust the stack.
+  template <typename ParseFn>
+  Result<std::unique_ptr<Query>> Nested(const ParseFn& parse) {
+    if (depth_ >= kMaxNestingDepth) {
+      return Error("query nested deeper than " +
+                   std::to_string(kMaxNestingDepth) + " levels");
+    }
+    ++depth_;
+    Result<std::unique_ptr<Query>> out = parse();
+    --depth_;
+    return out;
+  }
+
   Result<std::unique_ptr<Query>> ParseFormula() {
     if (IsKeyword("exists") || IsKeyword("forall")) {
       return ParseQuantified();
@@ -228,7 +244,8 @@ class Parser {
       return Error("expected '.' after quantified variables");
     }
     Advance();
-    PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> body, ParseFormula());
+    PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> body,
+                             Nested([&] { return ParseFormula(); }));
     return is_exists ? Query::Exists(std::move(vars), std::move(body))
                      : Query::ForAll(std::move(vars), std::move(body));
   }
@@ -260,7 +277,8 @@ class Parser {
   Result<std::unique_ptr<Query>> ParseUnary() {
     if (IsKeyword("not")) {
       Advance();
-      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> child, ParseUnary());
+      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> child,
+                               Nested([&] { return ParseUnary(); }));
       return Query::Not(std::move(child));
     }
     return ParsePrimary();
@@ -282,7 +300,8 @@ class Parser {
       // Either a parenthesized formula or nothing else: terms never start
       // with '(' in this grammar.
       Advance();
-      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> inner, ParseFormula());
+      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> inner,
+                               Nested([&] { return ParseFormula(); }));
       if (Current().kind != TokenKind::kRParen) {
         return Error("expected ')'");
       }
@@ -349,8 +368,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxNestingDepth = 1024;
+
   std::vector<Token> tokens_;
   size_t index_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -33,6 +33,8 @@
 namespace prefrep {
 
 // Parses `text` into a query AST. Errors carry the offending position.
+// Nesting (negations, parentheses and quantifier bodies, counted
+// together) deeper than 1024 levels is a parse error, not a crash.
 Result<std::unique_ptr<Query>> ParseQuery(std::string_view text);
 
 }  // namespace prefrep

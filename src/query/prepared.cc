@@ -371,7 +371,7 @@ Result<OpenAnswer> PreparedQuery::EvalOpen(const DynamicBitset* mask) const {
     return answer;
   }
   // Odometer over the free variables' domains (no recursion closure;
-  // this runs once per repair in PreferredConsistentAnswers).
+  // this runs once per repair in EnumeratedConsistentAnswers).
   for (size_t i = 0; i < vars; ++i) {
     const std::vector<Value>& domain = domains_[free_slots_[i]];
     if (domain.empty()) return answer;  // no assignments at all

@@ -1,21 +1,31 @@
 #include "server/session.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 namespace prefrep {
 
 namespace {
 
-// Lowers an EvalOptions onto the planner's positional knobs, against the
-// already-resolved effective context.
-CqaPlannerOptions Lower(const EvalOptions& options,
-                        ExecutionContext* effective) {
-  CqaPlannerOptions planner_options;
-  planner_options.force_tier = options.force_tier;
-  planner_options.max_dnf_disjuncts = options.limits.max_dnf_disjuncts;
-  planner_options.parallel = options.Parallel(effective);
-  return planner_options;
+// The request kind of answer kind T (CqaVerdict or OpenAnswer).
+template <typename T>
+constexpr CqaRequest kRequestOf = std::is_same_v<T, CqaVerdict>
+                                      ? CqaRequest::kVerdict
+                                      : CqaRequest::kOpenAnswers;
+
+// The planner entry point for answer kind T.
+template <typename T>
+Result<T> Planned(const RepairProblem& problem, const Priority& priority,
+                  RepairFamily family, const Query& query,
+                  const EvalOptions& options, CqaPlan* executed) {
+  if constexpr (std::is_same_v<T, CqaVerdict>) {
+    return PlannedConsistentAnswer(problem, priority, family, query, options,
+                                   executed);
+  } else {
+    return PlannedConsistentAnswers(problem, priority, family, query, options,
+                                    executed);
+  }
 }
 
 char KindTag(CqaRequest kind) {
@@ -289,36 +299,31 @@ void Session::ClearCache() {
 
 // ---- synchronous facade ---------------------------------------------------
 
-Result<CqaVerdict> Session::EvalVerdict(const Query& query,
-                                        const Priority& priority,
-                                        RepairFamily family,
-                                        const EvalOptions& options,
-                                        CqaPlan* executed, bool* cache_hit) {
+template <typename T>
+Result<T> Session::EvalCached(const Query& query, const Priority& priority,
+                              RepairFamily family, const EvalOptions& options,
+                              CqaPlan* executed, bool* cache_hit) {
+  constexpr CqaRequest kKind = kRequestOf<T>;
   if (cache_hit != nullptr) *cache_hit = false;
   // A forced tier exists to really execute that tier; serving it from the
   // cache (or caching its result under the unforced key) would defeat it.
-  const bool cacheable =
-      options_.enable_cache && !options.force_tier.has_value();
-  if (!cacheable) {
-    EvalContextScope scope(options);
-    return PlannedConsistentAnswer(problem(), priority, family, query,
-                                   Lower(options, scope.context()), executed);
+  if (options.force_tier.has_value()) {
+    return Planned<T>(problem(), priority, family, query, options, executed);
   }
   const std::string query_text = query.ToString();
-  const std::string result_key =
-      ResultKey(CqaRequest::kVerdict, family, priority, query_text);
+  const std::string result_key = ResultKey(kKind, family, priority, query_text);
   const std::string plan_key =
-      PlanKey(CqaRequest::kVerdict, family, PriorityIsEmpty(priority),
+      PlanKey(kKind, family, PriorityIsEmpty(priority),
               options.limits.max_dnf_disjuncts, query_text);
   std::optional<CqaPlan> plan;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     CachedResult* entry = result_cache_.Get(result_key);
-    if (entry != nullptr && entry->verdict.has_value()) {
+    if (entry != nullptr && entry->slot<T>().has_value()) {
       ++stats_.result_hits;
       if (executed != nullptr) *executed = entry->plan;
       if (cache_hit != nullptr) *cache_hit = true;
-      return *entry->verdict;
+      return *entry->slot<T>();
     }
     ++stats_.result_misses;
     CqaPlan* cached_plan = plan_cache_.Get(plan_key);
@@ -331,17 +336,16 @@ Result<CqaVerdict> Session::EvalVerdict(const Query& query,
   }
   PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
                            PreparedFor(query_text, query));
-  EvalContextScope scope(options);
-  CqaPlannerOptions planner_options = Lower(options, scope.context());
-  planner_options.prepared = prepared.get();
-  if (plan.has_value()) planner_options.precomputed_plan = &*plan;
+  EvalOptions seamed = options;
+  seamed.prepared = prepared.get();
+  if (plan.has_value()) seamed.precomputed_plan = &*plan;
   CqaPlan ran;
-  Result<CqaVerdict> verdict = PlannedConsistentAnswer(
-      problem(), priority, family, query, planner_options, &ran);
+  Result<T> result =
+      Planned<T>(problem(), priority, family, query, seamed, &ran);
   if (executed != nullptr) *executed = ran;
-  if (verdict.ok()) {
+  if (result.ok()) {
     CachedResult entry;
-    entry.verdict = *verdict;
+    entry.slot<T>() = *result;
     entry.plan = ran;
     entry.footprint = FootprintFor(query, priority);
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -352,76 +356,15 @@ Result<CqaVerdict> Session::EvalVerdict(const Query& query,
     }
     result_cache_.Put(result_key, std::move(entry));
   }
-  return verdict;
-}
-
-Result<OpenAnswer> Session::EvalAnswers(const Query& query,
-                                        const Priority& priority,
-                                        RepairFamily family,
-                                        const EvalOptions& options,
-                                        CqaPlan* executed, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  const bool cacheable =
-      options_.enable_cache && !options.force_tier.has_value();
-  if (!cacheable) {
-    EvalContextScope scope(options);
-    return PlannedConsistentAnswers(problem(), priority, family, query,
-                                    Lower(options, scope.context()), executed);
-  }
-  const std::string query_text = query.ToString();
-  const std::string result_key =
-      ResultKey(CqaRequest::kOpenAnswers, family, priority, query_text);
-  const std::string plan_key =
-      PlanKey(CqaRequest::kOpenAnswers, family, PriorityIsEmpty(priority),
-              options.limits.max_dnf_disjuncts, query_text);
-  std::optional<CqaPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    CachedResult* entry = result_cache_.Get(result_key);
-    if (entry != nullptr && entry->answers.has_value()) {
-      ++stats_.result_hits;
-      if (executed != nullptr) *executed = entry->plan;
-      if (cache_hit != nullptr) *cache_hit = true;
-      return *entry->answers;
-    }
-    ++stats_.result_misses;
-    CqaPlan* cached_plan = plan_cache_.Get(plan_key);
-    if (cached_plan != nullptr) {
-      ++stats_.plan_hits;
-      plan = *cached_plan;
-    } else {
-      ++stats_.plan_misses;
-    }
-  }
-  PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
-                           PreparedFor(query_text, query));
-  EvalContextScope scope(options);
-  CqaPlannerOptions planner_options = Lower(options, scope.context());
-  planner_options.prepared = prepared.get();
-  if (plan.has_value()) planner_options.precomputed_plan = &*plan;
-  CqaPlan ran;
-  Result<OpenAnswer> answers = PlannedConsistentAnswers(
-      problem(), priority, family, query, planner_options, &ran);
-  if (executed != nullptr) *executed = ran;
-  if (answers.ok()) {
-    CachedResult entry;
-    entry.answers = *answers;
-    entry.plan = ran;
-    entry.footprint = FootprintFor(query, priority);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (!plan.has_value()) {
-      plan_cache_.Put(plan_key, ran);
-    }
-    result_cache_.Put(result_key, std::move(entry));
-  }
-  return answers;
+  return result;
 }
 
 Result<CqaVerdict> Session::Ask(const Query& query, const Priority& priority,
                                 RepairFamily family,
                                 const EvalOptions& options, CqaPlan* executed,
                                 bool* cache_hit) {
-  return EvalVerdict(query, priority, family, options, executed, cache_hit);
+  return EvalCached<CqaVerdict>(query, priority, family, options, executed,
+                                cache_hit);
 }
 
 Result<OpenAnswer> Session::Answers(const Query& query,
@@ -429,7 +372,8 @@ Result<OpenAnswer> Session::Answers(const Query& query,
                                     RepairFamily family,
                                     const EvalOptions& options,
                                     CqaPlan* executed, bool* cache_hit) {
-  return EvalAnswers(query, priority, family, options, executed, cache_hit);
+  return EvalCached<OpenAnswer>(query, priority, family, options, executed,
+                                cache_hit);
 }
 
 Result<AggregateRange> Session::Aggregate(std::string_view relation,
@@ -439,10 +383,8 @@ Result<AggregateRange> Session::Aggregate(std::string_view relation,
                                           RepairFamily family,
                                           const EvalOptions& options,
                                           CqaPlan* executed) {
-  EvalContextScope scope(options);
   return PlannedAggregateRange(problem(), priority, family, relation,
-                               attribute, fn, Lower(options, scope.context()),
-                               executed);
+                               attribute, fn, options, executed);
 }
 
 Result<std::vector<DynamicBitset>> Session::Repairs(
@@ -454,11 +396,7 @@ Result<std::vector<DynamicBitset>> Session::Repairs(
 CqaPlan Session::Explain(const Query& query, const Priority& priority,
                          RepairFamily family, CqaRequest kind,
                          const EvalOptions& options) const {
-  CqaPlannerOptions planner_options;
-  planner_options.force_tier = options.force_tier;
-  planner_options.max_dnf_disjuncts = options.limits.max_dnf_disjuncts;
-  return ExplainPlan(problem(), priority, family, query, kind,
-                     planner_options);
+  return ExplainPlan(problem(), priority, family, query, kind, options);
 }
 
 // ---- asynchronous facade --------------------------------------------------
@@ -598,11 +536,13 @@ SessionResponse Session::Execute(PendingRequest& pending) {
   CqaPlan ran;
   bool hit = false;
   if (pending.request.kind == CqaRequest::kVerdict) {
-    response.verdict = EvalVerdict(query, pending.request.priority,
-                                   pending.request.family, options, &ran, &hit);
+    response.verdict =
+        EvalCached<CqaVerdict>(query, pending.request.priority,
+                               pending.request.family, options, &ran, &hit);
   } else {
-    response.answers = EvalAnswers(query, pending.request.priority,
-                                   pending.request.family, options, &ran, &hit);
+    response.answers =
+        EvalCached<OpenAnswer>(query, pending.request.priority,
+                               pending.request.family, options, &ran, &hit);
   }
   response.executed = ran;
   response.cache_hit = hit;

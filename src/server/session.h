@@ -67,6 +67,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -92,7 +93,6 @@ struct SessionOptions {
   // Admission cap: queued + running async requests. Submits beyond it
   // fail with kResourceExhausted instead of queueing unboundedly.
   size_t max_pending_requests = 64;
-  bool enable_cache = true;
   // Start the dispatcher paused: admitted requests queue but none runs
   // until ResumeDispatch(). Deterministic admission/cancellation tests.
   bool start_paused = false;
@@ -242,6 +242,16 @@ class Session {
     std::optional<OpenAnswer> answers;
     CqaPlan plan;
     ResultFootprint footprint;
+
+    // The member holding answer kind T (CqaVerdict or OpenAnswer).
+    template <typename T>
+    std::optional<T>& slot() {
+      if constexpr (std::is_same_v<T, CqaVerdict>) {
+        return verdict;
+      } else {
+        return answers;
+      }
+    }
   };
 
   enum class RequestState { kQueued, kRunning, kDone };
@@ -275,14 +285,13 @@ class Session {
   // constructor before any request runs.
   void SeedFromParent(const Session& parent);
 
-  Result<CqaVerdict> EvalVerdict(const Query& query, const Priority& priority,
-                                 RepairFamily family,
-                                 const EvalOptions& options, CqaPlan* executed,
-                                 bool* cache_hit);
-  Result<OpenAnswer> EvalAnswers(const Query& query, const Priority& priority,
-                                 RepairFamily family,
-                                 const EvalOptions& options, CqaPlan* executed,
-                                 bool* cache_hit);
+  // The cached evaluation behind Ask (T = CqaVerdict), Answers
+  // (T = OpenAnswer) and the dispatcher. A hit copies out only the
+  // member it returns.
+  template <typename T>
+  Result<T> EvalCached(const Query& query, const Priority& priority,
+                       RepairFamily family, const EvalOptions& options,
+                       CqaPlan* executed, bool* cache_hit);
 
   void DispatchLoop();
   SessionResponse Execute(PendingRequest& pending);

@@ -6,6 +6,7 @@
 
 #include "cleaning/cleaning.h"
 #include "cqa/aggregation.h"
+#include "cqa/planner.h"
 #include "workload/generators.h"
 
 namespace prefrep {
@@ -17,12 +18,20 @@ RepairProblem MustProblem(const GeneratedInstance& inst) {
   return *std::move(problem);
 }
 
+// Forced enumeration: the exact range engine these tests pin (COUNT
+// would otherwise plan the polynomial component range).
+EvalOptions Enumerate() {
+  EvalOptions options;
+  options.force_tier = CqaTier::kEnumeration;
+  return options;
+}
+
 AggregateRange MustRange(const RepairProblem& problem,
                          const Priority& priority, RepairFamily family,
                          AggregateFunction fn,
                          std::string_view attribute = "V") {
-  auto range = AggregateConsistentRange(problem, priority, family, "R",
-                                        attribute, fn);
+  auto range = PlannedAggregateRange(problem, priority, family, "R",
+                                     attribute, fn, Enumerate());
   CHECK(range.ok()) << range.status().ToString();
   return *range;
 }
@@ -108,13 +117,15 @@ TEST(AggregationTest, RejectsNonNumericAttribute) {
   auto problem = RepairProblem::Create(s.db.get(), s.fds);
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
-  auto bad = AggregateConsistentRange(*problem, empty, RepairFamily::kAll,
-                                      "Mgr", "Name", AggregateFunction::kMin);
+  auto bad = PlannedAggregateRange(*problem, empty, RepairFamily::kAll, "Mgr",
+                                   "Name", AggregateFunction::kMin,
+                                   Enumerate());
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   // COUNT ignores the attribute and works.
-  auto count = AggregateConsistentRange(
-      *problem, empty, RepairFamily::kAll, "Mgr", "", AggregateFunction::kCount);
+  auto count =
+      PlannedAggregateRange(*problem, empty, RepairFamily::kAll, "Mgr", "",
+                            AggregateFunction::kCount, Enumerate());
   ASSERT_TRUE(count.ok());
   EXPECT_DOUBLE_EQ(count->lo, 2);
   EXPECT_DOUBLE_EQ(count->hi, 2);
@@ -126,9 +137,9 @@ TEST(AggregationTest, MgrSalaryRanges) {
   auto problem = RepairProblem::Create(s.db.get(), s.fds);
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
-  auto sum = AggregateConsistentRange(*problem, empty, RepairFamily::kAll,
-                                      "Mgr", "Salary",
-                                      AggregateFunction::kSum);
+  auto sum = PlannedAggregateRange(*problem, empty, RepairFamily::kAll,
+                                   "Mgr", "Salary",
+                                   AggregateFunction::kSum, Enumerate());
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(sum->lo, 30000);  // {10k, 20k}
   EXPECT_DOUBLE_EQ(sum->hi, 70000);  // {40k, 30k}
@@ -137,12 +148,12 @@ TEST(AggregationTest, MgrSalaryRanges) {
   // [30k... compute: Rep maxima: r1:40k, r2:20k, r3:30k -> [20k,40k].
   auto priority = PriorityFromSourceReliability(*problem, {0, 1, 1, 0});
   ASSERT_TRUE(priority.ok());
-  auto rep_max = AggregateConsistentRange(*problem, empty, RepairFamily::kAll,
-                                          "Mgr", "Salary",
-                                          AggregateFunction::kMax);
-  auto g_max = AggregateConsistentRange(*problem, *priority,
-                                        RepairFamily::kGlobal, "Mgr",
-                                        "Salary", AggregateFunction::kMax);
+  auto rep_max = PlannedAggregateRange(*problem, empty, RepairFamily::kAll,
+                                       "Mgr", "Salary",
+                                       AggregateFunction::kMax, Enumerate());
+  auto g_max = PlannedAggregateRange(*problem, *priority,
+                                     RepairFamily::kGlobal, "Mgr", "Salary",
+                                     AggregateFunction::kMax, Enumerate());
   ASSERT_TRUE(rep_max.ok() && g_max.ok());
   EXPECT_DOUBLE_EQ(rep_max->lo, 20000);
   EXPECT_DOUBLE_EQ(rep_max->hi, 40000);
@@ -158,8 +169,9 @@ TEST(AggregationTest, CountStarRangePolynomialMatchesEnumeration) {
     Priority empty = Priority::Empty(problem.graph());
     auto fast = CountStarRange(problem, "R");
     ASSERT_TRUE(fast.ok());
-    auto slow = AggregateConsistentRange(problem, empty, RepairFamily::kAll,
-                                         "R", "", AggregateFunction::kCount);
+    auto slow = PlannedAggregateRange(problem, empty, RepairFamily::kAll, "R",
+                                      "", AggregateFunction::kCount,
+                                      Enumerate());
     ASSERT_TRUE(slow.ok());
     EXPECT_DOUBLE_EQ(fast->lo, slow->lo) << "trial " << trial;
     EXPECT_DOUBLE_EQ(fast->hi, slow->hi) << "trial " << trial;

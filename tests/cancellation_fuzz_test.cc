@@ -24,6 +24,7 @@
 #include "base/thread_pool.h"
 #include "core/families.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "relational/delta.h"
 #include "repair/repair.h"
@@ -47,8 +48,8 @@ RepairProblem MustProblem(const GeneratedInstance& inst) {
   return *std::move(problem);
 }
 
-ParallelOptions WithContext(int threads, ExecutionContext* context) {
-  ParallelOptions options;
+EvalOptions WithContext(int threads, ExecutionContext* context) {
+  EvalOptions options;
   options.threads = threads;
   options.context = context;
   return options;
@@ -63,8 +64,8 @@ TEST(CancellationFuzzTest, FamilyEnumerationCancelsCleanlyAtArbitraryPolls) {
   for (RepairFamily family : kAllFamilies) {
     for (int threads : kThreadCounts) {
       // Context-free reference: the result every clean rerun must match.
-      auto reference =
-          PreferredRepairs(graph, priority, family, ParallelOptions{threads});
+      auto reference = PreferredRepairs(graph, priority, family,
+                                        EvalOptions{.threads = threads});
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
       // Governed-but-uninterrupted run: attaching a context must not
@@ -134,16 +135,16 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
   for (RepairFamily family : kAllFamilies) {
     for (int threads : kThreadCounts) {
       auto ref_verdict =
-          PreferredConsistentAnswer(problem, priority, family, *closed,
-                                    ParallelOptions{threads});
+          PlannedConsistentAnswer(problem, priority, family, *closed,
+                                  EvalOptions{.threads = threads});
       ASSERT_TRUE(ref_verdict.ok()) << ref_verdict.status().ToString();
-      auto ref_rows = PreferredConsistentAnswers(problem, priority, family,
-                                                 *open,
-                                                 ParallelOptions{threads});
+      auto ref_rows = PlannedConsistentAnswers(problem, priority, family,
+                                               *open,
+                                               EvalOptions{.threads = threads});
       ASSERT_TRUE(ref_rows.ok()) << ref_rows.status().ToString();
 
       ExecutionContext clean;
-      auto governed = PreferredConsistentAnswer(
+      auto governed = PlannedConsistentAnswer(
           problem, priority, family, *closed, WithContext(threads, &clean));
       ASSERT_TRUE(governed.ok()) << governed.status().ToString();
       EXPECT_EQ(*governed, *ref_verdict);
@@ -152,7 +153,7 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
       for (int trial = 0; trial < 8; ++trial) {
         ExecutionContext context;
         context.CancelAfterPolls(rng.UniformRange(1, verdict_polls + 5));
-        auto cut = PreferredConsistentAnswer(
+        auto cut = PlannedConsistentAnswer(
             problem, priority, family, *closed, WithContext(threads, &context));
         if (cut.ok()) {
           EXPECT_EQ(*cut, *ref_verdict) << RepairFamilyName(family);
@@ -163,7 +164,7 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
 
         ExecutionContext rows_context;
         rows_context.CancelAfterPolls(rng.UniformRange(1, verdict_polls + 5));
-        auto cut_rows = PreferredConsistentAnswers(
+        auto cut_rows = PlannedConsistentAnswers(
             problem, priority, family, *open,
             WithContext(threads, &rows_context));
         if (cut_rows.ok()) {
@@ -176,7 +177,7 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
 
         // Clean rerun after each interrupted attempt.
         ExecutionContext rerun_context;
-        auto rerun = PreferredConsistentAnswer(
+        auto rerun = PlannedConsistentAnswer(
             problem, priority, family, *closed,
             WithContext(threads, &rerun_context));
         ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
@@ -213,16 +214,16 @@ TEST(CancellationFuzzTest, TightDeadlineEitherCompletesOrExpiresCleanly) {
   RepairProblem problem = MustProblem(inst);
   Priority priority = RandomDagPriority(rng, problem.graph(), 0.6);
   std::unique_ptr<Query> query = MustParse("exists x . R(0, x, 0)");
-  auto reference = PreferredConsistentAnswer(problem, priority,
-                                             RepairFamily::kGlobal, *query);
+  auto reference = PlannedConsistentAnswer(problem, priority,
+                                           RepairFamily::kGlobal, *query);
   ASSERT_TRUE(reference.ok());
   for (int trial = 0; trial < 10; ++trial) {
     ExecutionContext context;
     context.SetDeadlineAfter(std::chrono::microseconds(
         rng.UniformRange(1, 2000)));
     auto result =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kGlobal,
-                                  *query, WithContext(4, &context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kGlobal,
+                                *query, WithContext(4, &context));
     if (result.ok()) {
       EXPECT_EQ(*result, *reference);
     } else {
@@ -243,9 +244,9 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
   RepairProblem problem = MustProblem(inst);
   Priority priority = RandomRankingPriority(rng, problem.graph(), 0.5);
   std::unique_ptr<Query> query = MustParse("exists x, y . R(1, x, y)");
-  auto reference = PreferredConsistentAnswer(problem, priority,
-                                             RepairFamily::kAll, *query,
-                                             ParallelOptions{4});
+  auto reference = PlannedConsistentAnswer(problem, priority,
+                                           RepairFamily::kAll, *query,
+                                           EvalOptions{.threads = 4});
   ASSERT_TRUE(reference.ok());
   for (int trial = 0; trial < 5; ++trial) {
     ExecutionContext context;
@@ -255,8 +256,8 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
       context.RequestCancel();
     });
     auto result =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kAll,
-                                  *query, WithContext(4, &context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                *query, WithContext(4, &context));
     canceller.join();
     if (result.ok()) {
       EXPECT_EQ(*result, *reference);
@@ -267,8 +268,8 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
     // Clean rerun on a fresh context is unaffected by the cancelled one.
     ExecutionContext rerun_context;
     auto rerun =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kAll,
-                                  *query, WithContext(4, &rerun_context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                *query, WithContext(4, &rerun_context));
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(*rerun, *reference);
   }

@@ -371,11 +371,15 @@ TEST(ComponentsTest, LimitPropagatesAsResourceExhausted) {
   auto problem = RepairProblem::Create(rn.db.get(), rn.fds);
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
+  EvalOptions capped;
+  capped.limits.max_repair_list = 50;
+  EvalOptions roomy;
+  roomy.limits.max_repair_list = 2000;
   for (RepairFamily family : kAllFamilies) {
-    auto limited = PreferredRepairs(problem->graph(), empty, family, 50);
+    auto limited = PreferredRepairs(problem->graph(), empty, family, capped);
     ASSERT_FALSE(limited.ok()) << RepairFamilyName(family);
     EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
-    auto full = PreferredRepairs(problem->graph(), empty, family, 2000);
+    auto full = PreferredRepairs(problem->graph(), empty, family, roomy);
     ASSERT_TRUE(full.ok()) << RepairFamilyName(family);
     EXPECT_EQ(full->size(), 1024u) << RepairFamilyName(family);
   }

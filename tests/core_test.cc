@@ -511,8 +511,10 @@ TEST(FamiliesTest, PreferredRepairsLimit) {
   auto problem = RepairProblem::Create(rn.db.get(), rn.fds);
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
+  EvalOptions capped;
+  capped.limits.max_repair_list = 100;
   auto limited =
-      PreferredRepairs(problem->graph(), empty, RepairFamily::kAll, 100);
+      PreferredRepairs(problem->graph(), empty, RepairFamily::kAll, capped);
   EXPECT_FALSE(limited.ok());
   EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
 }

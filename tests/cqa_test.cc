@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "workload/generators.h"
 
@@ -29,12 +30,12 @@ TEST(CqaTest, ConsistentDatabaseAnswersMatchPlainEvaluation) {
   GeneratedInstance inst = MakeKeyGroupsInstance(2, 1);  // consistent
   RepairProblem problem = MustProblem(inst);
   Priority empty = Priority::Empty(problem.graph());
-  auto verdict = PreferredConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                           *MustParse("R(0, 0)"));
+  auto verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
+                                         *MustParse("R(0, 0)"));
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue);
-  verdict = PreferredConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                      *MustParse("R(0, 7)"));
+  verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
+                                    *MustParse("R(0, 7)"));
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyFalse);
 }
 
@@ -43,13 +44,13 @@ TEST(CqaTest, ConflictingFactIsUndetermined) {
   GeneratedInstance rn = MakeRnInstance(1);
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  auto verdict = PreferredConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                           *MustParse("R(0, 0)"));
+  auto verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
+                                         *MustParse("R(0, 0)"));
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
   // The disjunction holds in every repair.
-  verdict = PreferredConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                      *MustParse("R(0, 0) or R(0, 1)"));
+  verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
+                                    *MustParse("R(0, 0) or R(0, 1)"));
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue);
 }
 
@@ -62,16 +63,16 @@ TEST(CqaTest, PriorityResolvesTheAnswer) {
   for (RepairFamily family :
        {RepairFamily::kLocal, RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
         RepairFamily::kCommon}) {
-    auto verdict = PreferredConsistentAnswer(problem, *priority, family,
-                                             *MustParse("R(0, 0)"));
+    auto verdict = PlannedConsistentAnswer(problem, *priority, family,
+                                           *MustParse("R(0, 0)"));
     ASSERT_TRUE(verdict.ok());
     EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue)
         << RepairFamilyName(family);
   }
   // The unrestricted family still cannot decide.
-  auto verdict = PreferredConsistentAnswer(problem, *priority,
-                                           RepairFamily::kAll,
-                                           *MustParse("R(0, 0)"));
+  auto verdict = PlannedConsistentAnswer(problem, *priority,
+                                         RepairFamily::kAll,
+                                         *MustParse("R(0, 0)"));
   EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
 }
 
@@ -79,8 +80,8 @@ TEST(CqaTest, RejectsOpenQueriesInClosedApi) {
   GeneratedInstance rn = MakeRnInstance(1);
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  EXPECT_FALSE(PreferredConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                         *MustParse("R(x, 0)"))
+  EXPECT_FALSE(PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
+                                       *MustParse("R(x, 0)"))
                    .ok());
 }
 
@@ -90,10 +91,10 @@ TEST(CqaTest, QuantifiedQueryOverRepairs) {
   GeneratedInstance rn = MakeRnInstance(2);
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  auto undetermined = PreferredConsistentAnswer(
+  auto undetermined = PlannedConsistentAnswer(
       problem, empty, RepairFamily::kAll, *MustParse("exists x . R(x, 0)"));
   EXPECT_EQ(*undetermined, CqaVerdict::kUndetermined);
-  auto certain = PreferredConsistentAnswer(
+  auto certain = PlannedConsistentAnswer(
       problem, empty, RepairFamily::kAll,
       *MustParse("forall x, y . (not R(x, y)) or y <= 1"));
   EXPECT_EQ(*certain, CqaVerdict::kCertainlyTrue);
@@ -107,12 +108,12 @@ TEST(CqaTest, OpenQueryConsistentAnswersIntersect) {
   GeneratedInstance rn = MakeRnInstance(2);
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  auto none = PreferredConsistentAnswers(problem, empty, RepairFamily::kAll,
-                                         *MustParse("R(x, y)"));
+  auto none = PlannedConsistentAnswers(problem, empty, RepairFamily::kAll,
+                                       *MustParse("R(x, y)"));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->rows.empty());
 
-  auto keys = PreferredConsistentAnswers(
+  auto keys = PlannedConsistentAnswers(
       problem, empty, RepairFamily::kAll,
       *MustParse("R(x, 0) or R(x, 1)"));
   ASSERT_TRUE(keys.ok());
@@ -127,7 +128,7 @@ TEST(CqaTest, OpenQueryPreferredAnswersGrowWithPriorities) {
   // Prefer value 0 for key 0 (ids 0,1) and value 1 for key 1 (ids 2,3).
   auto priority = Priority::Create(problem.graph(), {{0, 1}, {3, 2}});
   ASSERT_TRUE(priority.ok());
-  auto answers = PreferredConsistentAnswers(
+  auto answers = PlannedConsistentAnswers(
       problem, *priority, RepairFamily::kGlobal, *MustParse("R(x, y)"));
   ASSERT_TRUE(answers.ok());
   ASSERT_EQ(answers->rows.size(), 2u);
@@ -239,8 +240,8 @@ TEST(GroundCqaTest, DifferentialAgainstNaiveEngine) {
 
       auto fast = GroundConsistentAnswer(problem, *query);
       ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-      auto naive = PreferredConsistentAnswer(problem, empty,
-                                             RepairFamily::kAll, *query);
+      auto naive = PlannedConsistentAnswer(problem, empty,
+                                           RepairFamily::kAll, *query);
       ASSERT_TRUE(naive.ok());
       EXPECT_EQ(*fast, *naive == CqaVerdict::kCertainlyTrue)
           << "trial " << trial << " query " << query->ToString();
@@ -266,13 +267,13 @@ TEST(CqaTest, PreferredAnswersRefineRepAnswers) {
     for (const Value& v : t.values()) terms.push_back(Term::Const(v));
     auto query = Query::Atom("R", std::move(terms));
 
-    auto rep = PreferredConsistentAnswer(problem, p, RepairFamily::kAll,
-                                         *query);
+    auto rep = PlannedConsistentAnswer(problem, p, RepairFamily::kAll,
+                                       *query);
     ASSERT_TRUE(rep.ok());
     for (RepairFamily family :
          {RepairFamily::kLocal, RepairFamily::kSemiGlobal,
           RepairFamily::kGlobal, RepairFamily::kCommon}) {
-      auto pref = PreferredConsistentAnswer(problem, p, family, *query);
+      auto pref = PlannedConsistentAnswer(problem, p, family, *query);
       ASSERT_TRUE(pref.ok());
       if (*rep == CqaVerdict::kCertainlyTrue) {
         EXPECT_EQ(*pref, CqaVerdict::kCertainlyTrue)

@@ -9,6 +9,7 @@
 #include "cleaning/cleaning.h"
 #include "core/algorithm1.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "workload/generators.h"
 
@@ -65,8 +66,8 @@ TEST_F(PaperExamples, Example1Q1IsTrueInTheInconsistentDatabase) {
 TEST_F(PaperExamples, Example2TrueIsNotAConsistentAnswerToQ1) {
   // Q1 is false in r1 and r2, so true is not the consistent answer.
   Priority empty = Priority::Empty(problem_->graph());
-  auto verdict = PreferredConsistentAnswer(*problem_, empty,
-                                           RepairFamily::kAll, *q1_);
+  auto verdict = PlannedConsistentAnswer(*problem_, empty,
+                                         RepairFamily::kAll, *q1_);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
 }
@@ -112,8 +113,8 @@ TEST_F(PaperExamples, Example3FalseIsTheConsistentAnswerInCleanedDatabase) {
   auto cleaned_problem = RepairProblem::Create(&cleaned, scenario_.fds);
   ASSERT_TRUE(cleaned_problem.ok());
   Priority empty = Priority::Empty(cleaned_problem->graph());
-  auto verdict = PreferredConsistentAnswer(*cleaned_problem, empty,
-                                           RepairFamily::kAll, *q2_);
+  auto verdict = PlannedConsistentAnswer(*cleaned_problem, empty,
+                                         RepairFamily::kAll, *q2_);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyFalse);
 }
@@ -121,8 +122,8 @@ TEST_F(PaperExamples, Example3FalseIsTheConsistentAnswerInCleanedDatabase) {
 TEST_F(PaperExamples, Example3Q2UndeterminedUnderPlainRep) {
   // "neither false nor true is a consistent answer to Q2 in r".
   Priority empty = Priority::Empty(problem_->graph());
-  auto verdict = PreferredConsistentAnswer(*problem_, empty,
-                                           RepairFamily::kAll, *q2_);
+  auto verdict = PlannedConsistentAnswer(*problem_, empty,
+                                         RepairFamily::kAll, *q2_);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
 }
@@ -152,14 +153,14 @@ TEST_F(PaperExamples, Example3PreferredRepairsAreR1AndR2) {
   }
 }
 
-TEST_F(PaperExamples, Example3TrueIsThePreferredConsistentAnswerToQ2) {
+TEST_F(PaperExamples, Example3TrueIsThePlannedConsistentAnswerToQ2) {
   // The paper's punchline: with the source-reliability priority, true is
   // the preferred consistent answer to Q2 under every optimal family.
   for (RepairFamily family :
        {RepairFamily::kLocal, RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
         RepairFamily::kCommon}) {
     auto verdict =
-        PreferredConsistentAnswer(*problem_, *priority_, family, *q2_);
+        PlannedConsistentAnswer(*problem_, *priority_, family, *q2_);
     ASSERT_TRUE(verdict.ok());
     EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue)
         << RepairFamilyName(family);
@@ -169,8 +170,8 @@ TEST_F(PaperExamples, Example3TrueIsThePreferredConsistentAnswerToQ2) {
 TEST_F(PaperExamples, Q1RemainsUndeterminedUnderThePreference) {
   // Q1 ("John earns more than Mary") is false in r1 (40k vs 30k) and
   // false in r2 (20k vs 10k): certainly false under the preference.
-  auto verdict = PreferredConsistentAnswer(*problem_, *priority_,
-                                           RepairFamily::kGlobal, *q1_);
+  auto verdict = PlannedConsistentAnswer(*problem_, *priority_,
+                                         RepairFamily::kGlobal, *q1_);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyFalse);
 }
@@ -245,8 +246,8 @@ TEST_F(PaperExamples, OpenQueryWhoManagesWhat) {
   // answer set is empty; under a total priority it is the clean database.
   auto open = ParseQuery("Mgr(x, y, s, r)");
   ASSERT_TRUE(open.ok());
-  auto answers = PreferredConsistentAnswers(*problem_, *priority_,
-                                            RepairFamily::kGlobal, **open);
+  auto answers = PlannedConsistentAnswers(*problem_, *priority_,
+                                          RepairFamily::kGlobal, **open);
   ASSERT_TRUE(answers.ok());
   EXPECT_TRUE(answers->rows.empty());
 }

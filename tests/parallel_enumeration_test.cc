@@ -21,6 +21,7 @@
 #include "base/thread_pool.h"
 #include "core/families.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "graph/mis.h"
 #include "query/parser.h"
 #include "repair/repair.h"
@@ -156,11 +157,12 @@ TEST(ParallelEnumerationTest, CqaVerdictsMatchSerialOnRandomInstances) {
     for (RepairFamily family : kAllFamilies) {
       for (const std::unique_ptr<Query>& query : queries) {
         auto serial =
-            PreferredConsistentAnswer(problem, priority, family, *query);
+            PlannedConsistentAnswer(problem, priority, family, *query);
         ASSERT_TRUE(serial.ok()) << serial.status().ToString();
         for (int threads : kThreadCounts) {
-          auto parallel = PreferredConsistentAnswer(
-              problem, priority, family, *query, ParallelOptions{threads});
+          auto parallel =
+              PlannedConsistentAnswer(problem, priority, family, *query,
+                                      EvalOptions{.threads = threads});
           ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
           EXPECT_EQ(*parallel, *serial)
               << RepairFamilyName(family) << " trial " << trial << " threads "
@@ -186,11 +188,12 @@ TEST(ParallelEnumerationTest, CqaOpenAnswersMatchSerialOnRandomInstances) {
     for (RepairFamily family : kAllFamilies) {
       for (const std::unique_ptr<Query>& query : queries) {
         auto serial =
-            PreferredConsistentAnswers(problem, priority, family, *query);
+            PlannedConsistentAnswers(problem, priority, family, *query);
         ASSERT_TRUE(serial.ok()) << serial.status().ToString();
         for (int threads : kThreadCounts) {
-          auto parallel = PreferredConsistentAnswers(
-              problem, priority, family, *query, ParallelOptions{threads});
+          auto parallel =
+              PlannedConsistentAnswers(problem, priority, family, *query,
+                                       EvalOptions{.threads = threads});
           ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
           EXPECT_EQ(parallel->variables, serial->variables);
           EXPECT_EQ(parallel->rows, serial->rows)
@@ -215,19 +218,19 @@ TEST(ParallelEnumerationTest, CqaOnConnectedInstanceMatchesSerial) {
   std::unique_ptr<Query> open = MustParse("R(0, v, w)");
   for (RepairFamily family : kAllFamilies) {
     auto serial_verdict =
-        PreferredConsistentAnswer(problem, priority, family, *closed);
+        PlannedConsistentAnswer(problem, priority, family, *closed);
     ASSERT_TRUE(serial_verdict.ok());
     auto serial_rows =
-        PreferredConsistentAnswers(problem, priority, family, *open);
+        PlannedConsistentAnswers(problem, priority, family, *open);
     ASSERT_TRUE(serial_rows.ok());
     for (int threads : kThreadCounts) {
-      auto verdict = PreferredConsistentAnswer(problem, priority, family,
-                                               *closed,
-                                               ParallelOptions{threads});
+      auto verdict = PlannedConsistentAnswer(problem, priority, family,
+                                             *closed,
+                                             EvalOptions{.threads = threads});
       ASSERT_TRUE(verdict.ok());
       EXPECT_EQ(*verdict, *serial_verdict) << RepairFamilyName(family);
-      auto rows = PreferredConsistentAnswers(problem, priority, family, *open,
-                                             ParallelOptions{threads});
+      auto rows = PlannedConsistentAnswers(problem, priority, family, *open,
+                                           EvalOptions{.threads = threads});
       ASSERT_TRUE(rows.ok());
       EXPECT_EQ(rows->rows, serial_rows->rows) << RepairFamilyName(family);
     }
@@ -260,12 +263,14 @@ TEST(ParallelEnumerationTest, LimitPropagatesAsResourceExhausted) {
   ASSERT_TRUE(serial.ok());
   for (RepairFamily family : kAllFamilies) {
     for (int threads : kThreadCounts) {
-      auto limited = PreferredRepairs(graph, empty, family,
-                                      ParallelOptions{threads}, 5);
+      EvalOptions capped{.threads = threads};
+      capped.limits.max_repair_list = 5;
+      auto limited = PreferredRepairs(graph, empty, family, capped);
       ASSERT_FALSE(limited.ok()) << RepairFamilyName(family);
       EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
-      auto full = PreferredRepairs(graph, empty, family,
-                                   ParallelOptions{threads}, 1u << 20);
+      EvalOptions uncapped{.threads = threads};
+      uncapped.limits.max_repair_list = 1u << 20;
+      auto full = PreferredRepairs(graph, empty, family, uncapped);
       ASSERT_TRUE(full.ok()) << RepairFamilyName(family);
       EXPECT_EQ(full->size(), serial->size()) << RepairFamilyName(family);
     }
@@ -299,17 +304,17 @@ TEST(ParallelEnumerationStressTest, StressShardedEnumerationAndCqa) {
   for (RepairFamily family : {RepairFamily::kAll, RepairFamily::kLocal,
                               RepairFamily::kGlobal}) {
     auto serial_verdict =
-        PreferredConsistentAnswer(problem, cqa_priority, family, *closed);
-    auto parallel_verdict = PreferredConsistentAnswer(
-        problem, cqa_priority, family, *closed, ParallelOptions{8});
+        PlannedConsistentAnswer(problem, cqa_priority, family, *closed);
+    auto parallel_verdict = PlannedConsistentAnswer(
+        problem, cqa_priority, family, *closed, EvalOptions{.threads = 8});
     ASSERT_TRUE(serial_verdict.ok());
     ASSERT_TRUE(parallel_verdict.ok());
     EXPECT_EQ(*parallel_verdict, *serial_verdict) << RepairFamilyName(family);
 
     auto serial_rows =
-        PreferredConsistentAnswers(problem, cqa_priority, family, *open);
-    auto parallel_rows = PreferredConsistentAnswers(
-        problem, cqa_priority, family, *open, ParallelOptions{8});
+        PlannedConsistentAnswers(problem, cqa_priority, family, *open);
+    auto parallel_rows = PlannedConsistentAnswers(
+        problem, cqa_priority, family, *open, EvalOptions{.threads = 8});
     ASSERT_TRUE(serial_rows.ok());
     ASSERT_TRUE(parallel_rows.ok());
     EXPECT_EQ(parallel_rows->rows, serial_rows->rows)

@@ -15,6 +15,7 @@
 #include "cqa/planner.h"
 #include "query/normal_form.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 #include "workload/generators.h"
 
 namespace prefrep {
@@ -146,13 +147,13 @@ TEST(PlannerRegressionTest, ConflictFreeShortCircuitNeverEnumerates) {
 
   CqaPlan executed;
   auto verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kCommon,
-                                         *query, CqaPlannerOptions(), &executed);
+                                         *query, EvalOptions(), &executed);
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue);
   EXPECT_EQ(executed.tier, CqaTier::kSingleRepair);
 
   // Bit-for-bit against the enumeration engine.
-  CqaPlannerOptions forced;
+  EvalOptions forced;
   forced.force_tier = CqaTier::kEnumeration;
   auto reference = PlannedConsistentAnswer(problem, empty,
                                            RepairFamily::kCommon, *query,
@@ -164,7 +165,7 @@ TEST(PlannerRegressionTest, ConflictFreeShortCircuitNeverEnumerates) {
   // Open answers short-circuit the same way.
   auto open = MustParse("R(x, y)");
   auto fast = PlannedConsistentAnswers(problem, empty, RepairFamily::kLocal,
-                                       *open, CqaPlannerOptions(), &executed);
+                                       *open, EvalOptions(), &executed);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(executed.tier, CqaTier::kSingleRepair);
   auto slow = PlannedConsistentAnswers(problem, empty, RepairFamily::kLocal,
@@ -184,8 +185,8 @@ TEST(PlannerBudgetTest, BlownDnfBudgetFallsBackToEnumeration) {
   auto query = MustParse(
       "(R(0, 0) and R(0, 1)) or (R(1, 0) and R(1, 1)) or "
       "(R(0, 0) and R(1, 1))");
-  CqaPlannerOptions tiny;
-  tiny.max_dnf_disjuncts = 4;
+  EvalOptions tiny;
+  tiny.limits.max_dnf_disjuncts = 4;
 
   CqaPlan plan = ExplainPlan(problem, empty, RepairFamily::kAll, *query,
                              CqaRequest::kVerdict, tiny);
@@ -202,13 +203,13 @@ TEST(PlannerBudgetTest, BlownDnfBudgetFallsBackToEnumeration) {
   // The verdict matches both the default (fast-path) plan and forced
   // enumeration.
   auto roomy = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                       *query, CqaPlannerOptions(), &executed);
+                                       *query, EvalOptions(), &executed);
   ASSERT_TRUE(roomy.ok());
   EXPECT_EQ(executed.tier, CqaTier::kGroundFastPath);
   EXPECT_EQ(*verdict, *roomy);
 
   // Forcing the fast path past the budget surfaces the exhaustion.
-  CqaPlannerOptions forced_fast = tiny;
+  EvalOptions forced_fast = tiny;
   forced_fast.force_tier = CqaTier::kGroundFastPath;
   auto exhausted = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                            *query, forced_fast);
@@ -243,14 +244,14 @@ TEST(PlannerForceTest, ForcedTiersValidateEligibility) {
   ASSERT_TRUE(ranked.ok());
   auto ground = MustParse("R(0, 0)");
 
-  CqaPlannerOptions force_single;
+  EvalOptions force_single;
   force_single.force_tier = CqaTier::kSingleRepair;
   auto verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                          *ground, force_single);
   ASSERT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), StatusCode::kInvalidArgument);
 
-  CqaPlannerOptions force_fast;
+  EvalOptions force_fast;
   force_fast.force_tier = CqaTier::kGroundFastPath;
   verdict = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                     *MustParse("exists x . R(x, 0)"),
@@ -276,14 +277,14 @@ TEST(PlannerEdgeCaseTest, EmptyDatabase) {
   GeneratedInstance inst = MakeRnInstance(0);
   RepairProblem problem = MustProblem(inst);
   Priority empty = Priority::Empty(problem.graph());
-  CqaPlannerOptions forced;
+  EvalOptions forced;
   forced.force_tier = CqaTier::kEnumeration;
 
   CqaPlan executed;
   for (const char* text : {"R(0, 0)", "not R(0, 0)", "exists x . R(x, 0)"}) {
     auto query = MustParse(text);
     auto fast = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                        *query, CqaPlannerOptions(), &executed);
+                                        *query, EvalOptions(), &executed);
     ASSERT_TRUE(fast.ok()) << text;
     EXPECT_EQ(executed.tier, CqaTier::kSingleRepair) << text;
     auto slow = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
@@ -301,7 +302,7 @@ TEST(PlannerEdgeCaseTest, ConstantOnlyQueries) {
   GeneratedInstance rn = MakeRnInstance(2);  // conflicted
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  CqaPlannerOptions forced;
+  EvalOptions forced;
   forced.force_tier = CqaTier::kEnumeration;
 
   const std::pair<const char*, CqaVerdict> cases[] = {
@@ -314,7 +315,7 @@ TEST(PlannerEdgeCaseTest, ConstantOnlyQueries) {
     auto query = MustParse(text);
     CqaPlan executed;
     auto fast = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
-                                        *query, CqaPlannerOptions(), &executed);
+                                        *query, EvalOptions(), &executed);
     ASSERT_TRUE(fast.ok()) << text << ": " << fast.status().ToString();
     EXPECT_EQ(*fast, want) << text;
     EXPECT_EQ(executed.tier, CqaTier::kGroundFastPath) << text;
@@ -342,7 +343,7 @@ TEST(PlannerEdgeCaseTest, UnknownRelationFailsIdenticallyAcrossTiers) {
   GeneratedInstance rn = MakeRnInstance(2);
   RepairProblem problem = MustProblem(rn);
   Priority empty = Priority::Empty(problem.graph());
-  CqaPlannerOptions forced;
+  EvalOptions forced;
   forced.force_tier = CqaTier::kEnumeration;
   auto query = MustParse("S(0, 0)");
 
@@ -373,13 +374,13 @@ TEST(PlannerAggregateTest, CountStarRoutesToComponentRange) {
   CqaPlan executed;
   auto fast = PlannedAggregateRange(problem, empty, RepairFamily::kGlobal,
                                     "R", "", AggregateFunction::kCount,
-                                    CqaPlannerOptions(),
+                                    EvalOptions(),
                                     &executed);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   EXPECT_EQ(executed.tier, CqaTier::kGroundFastPath);
   EXPECT_TRUE(executed.family_collapsed);
 
-  CqaPlannerOptions forced;
+  EvalOptions forced;
   forced.force_tier = CqaTier::kEnumeration;
   auto slow = PlannedAggregateRange(problem, empty, RepairFamily::kGlobal,
                                     "R", "", AggregateFunction::kCount,
@@ -393,7 +394,7 @@ TEST(PlannerAggregateTest, CountStarRoutesToComponentRange) {
   // SUM has no polynomial range: plans enumeration.
   auto sum = PlannedAggregateRange(problem, empty, RepairFamily::kAll, "R",
                                    "B", AggregateFunction::kSum,
-                                   CqaPlannerOptions(),
+                                   EvalOptions(),
                                    &executed);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
   EXPECT_EQ(executed.tier, CqaTier::kEnumeration);
@@ -450,13 +451,51 @@ std::unique_ptr<Query> RandomQuery(Rng& rng, const Relation& rel, int arity,
                             : Query::Or(std::move(literals));
 }
 
-TEST(PlannerDifferentialTest, PlannerMatchesForcedEnumeration) {
+// Shape class `q` (mod 4): ground qf, open qf (negation-free and not),
+// and quantified/conjunctive closed.
+std::unique_ptr<Query> ShapeClassQuery(Rng& rng, const Relation& rel, int q) {
+  switch (q % 4) {
+    case 0:
+      return RandomQuery(rng, rel, 3, {}, /*allow_negation=*/true);
+    case 1:
+      return RandomQuery(rng, rel, 3, {"x"}, /*allow_negation=*/false);
+    case 2:
+      return RandomQuery(rng, rel, 3, {"x", "y"}, /*allow_negation=*/true);
+    default: {
+      auto body = RandomQuery(rng, rel, 3, {"x"}, /*allow_negation=*/true);
+      std::set<std::string> free = body->FreeVariables();
+      if (free.empty()) return body;
+      std::vector<std::string> bound(free.begin(), free.end());
+      return rng.Bernoulli(0.5)
+                 ? Query::Exists(std::move(bound), std::move(body))
+                 : Query::ForAll(std::move(bound), std::move(body));
+    }
+  }
+}
+
+uint64_t DifferentialSeed() {
   // Deterministic by default; CI's sanitizer leg sweeps extra seeds.
   uint64_t seed = 20260808;
   if (const char* env = std::getenv("PLANNER_TEST_SEED")) {
     seed = std::strtoull(env, nullptr, 10);
   }
-  Rng rng(seed);
+  return seed;
+}
+
+// Both priority kinds plus the empty priority, cycling with `trial`.
+Priority CyclePriority(Rng& rng, const ConflictGraph& graph, int trial) {
+  switch (trial % 3) {
+    case 0:
+      return Priority::Empty(graph);
+    case 1:
+      return RandomRankingPriority(rng, graph, 0.7);
+    default:
+      return RandomDagPriority(rng, graph, 0.7);
+  }
+}
+
+TEST(PlannerDifferentialTest, PlannerMatchesForcedEnumeration) {
+  Rng rng(DifferentialSeed());
   int verdicts_compared = 0;
   int answer_sets_compared = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -464,53 +503,14 @@ TEST(PlannerDifferentialTest, PlannerMatchesForcedEnumeration) {
     RepairProblem problem = MustProblem(inst);
     const Relation& rel = *inst.db->relation("R").value();
 
-    // Both priority kinds plus the empty priority, cycling per trial.
-    Priority priority = [&]() {
-      switch (trial % 3) {
-        case 0:
-          return Priority::Empty(problem.graph());
-        case 1:
-          return RandomRankingPriority(rng, problem.graph(), 0.7);
-        default:
-          return RandomDagPriority(rng, problem.graph(), 0.7);
-      }
-    }();
+    Priority priority = CyclePriority(rng, problem.graph(), trial);
     RepairFamily family = kAllFamilies[trial % 5];
 
-    CqaPlannerOptions forced;
+    EvalOptions forced;
     forced.force_tier = CqaTier::kEnumeration;
 
     for (int q = 0; q < 4; ++q) {
-      // Shape class cycles: ground qf, open qf (negation-free and not),
-      // and quantified/conjunctive closed.
-      std::unique_ptr<Query> query;
-      switch (q) {
-        case 0:
-          query = RandomQuery(rng, rel, 3, {}, /*allow_negation=*/true);
-          break;
-        case 1:
-          query = RandomQuery(rng, rel, 3, {"x"}, /*allow_negation=*/false);
-          break;
-        case 2:
-          query = RandomQuery(rng, rel, 3, {"x", "y"},
-                              /*allow_negation=*/true);
-          break;
-        default: {
-          auto body = RandomQuery(rng, rel, 3, {"x"},
-                                  /*allow_negation=*/true);
-          std::set<std::string> free = body->FreeVariables();
-          if (free.empty()) {
-            query = std::move(body);
-          } else {
-            std::vector<std::string> bound(free.begin(), free.end());
-            query = rng.Bernoulli(0.5)
-                        ? Query::Exists(std::move(bound), std::move(body))
-                        : Query::ForAll(std::move(bound), std::move(body));
-          }
-          break;
-        }
-      }
-
+      std::unique_ptr<Query> query = ShapeClassQuery(rng, rel, q);
       if (query->IsClosed()) {
         auto fast = PlannedConsistentAnswer(problem, priority, family, *query);
         auto slow = PlannedConsistentAnswer(problem, priority, family, *query,
@@ -553,6 +553,145 @@ TEST(PlannerDifferentialTest, PlannerMatchesForcedEnumeration) {
   }
   EXPECT_EQ(answer_sets_compared, 160);
   EXPECT_GE(verdicts_compared, 40);
+}
+
+void ExpectSamePlan(const CqaPlan& got, const CqaPlan& want,
+                    const std::string& context) {
+  EXPECT_EQ(got.tier, want.tier) << context;
+  EXPECT_EQ(got.requested_family, want.requested_family) << context;
+  EXPECT_EQ(got.effective_family, want.effective_family) << context;
+  EXPECT_EQ(got.family_collapsed, want.family_collapsed) << context;
+  EXPECT_EQ(got.reason, want.reason) << context;
+}
+
+// The resident-server seams (EvalOptions::prepared and
+// EvalOptions::precomputed_plan) must be pure shortcuts: a seamed call
+// answers exactly like the bare call and reports the same executed plan.
+// And force_tier beats a stale precomputed plan — both when the forced
+// tier runs and when CheckForcedTier must reject it.
+TEST(PlannerDifferentialTest, SeamsMatchBareCallsAndForceBeatsStalePlans) {
+  Rng rng(DifferentialSeed());
+  int seamed_compared = 0;
+  int stale_forced = 0;
+  int stale_rejected = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    GeneratedInstance inst = MakeRandomInstance(rng, 12, 3, 3, 2);
+    RepairProblem problem = MustProblem(inst);
+    const Relation& rel = *inst.db->relation("R").value();
+    Priority priority = CyclePriority(rng, problem.graph(), trial);
+    const bool conflicted = problem.graph().edge_count() > 0;
+    for (int q = 0; q < 4; ++q) {
+      std::unique_ptr<Query> query = ShapeClassQuery(rng, rel, q);
+      auto prepared = PreparedQuery::Compile(problem.db(), *query);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      const QueryShape shape = ClassifyQuery(*query);
+      for (RepairFamily family : kAllFamilies) {
+        const std::string where = "trial " + std::to_string(trial) + " " +
+                                  std::string(RepairFamilyName(family)) +
+                                  " query " + query->ToString();
+        const bool rep_equivalent =
+            EffectiveFamily(priority, family) == RepairFamily::kAll;
+        for (CqaRequest request :
+             {CqaRequest::kVerdict, CqaRequest::kOpenAnswers}) {
+          const bool verdict = request == CqaRequest::kVerdict;
+          if (verdict && !query->IsClosed()) continue;
+          CqaPlan explained =
+              ExplainPlan(problem, priority, family, *query, request);
+          EvalOptions seamed;
+          seamed.prepared = &*prepared;
+          seamed.precomputed_plan = &explained;
+
+          // A stale plan: the explained one, claiming a different tier.
+          CqaPlan stale = explained;
+          stale.tier = explained.tier == CqaTier::kEnumeration
+                           ? CqaTier::kSingleRepair
+                           : CqaTier::kEnumeration;
+          stale.reason = "stale";
+          EvalOptions forced_enum;
+          forced_enum.force_tier = CqaTier::kEnumeration;
+          EvalOptions forced_enum_stale = forced_enum;
+          forced_enum_stale.prepared = &*prepared;
+          forced_enum_stale.precomputed_plan = &stale;
+
+          CqaPlan bare_plan;
+          CqaPlan seamed_plan;
+          CqaPlan forced_plan;
+          CqaPlan stale_plan;
+          if (verdict) {
+            auto bare = PlannedConsistentAnswer(problem, priority, family,
+                                                *query, {}, &bare_plan);
+            auto via_seams = PlannedConsistentAnswer(
+                problem, priority, family, *query, seamed, &seamed_plan);
+            ASSERT_TRUE(bare.ok()) << bare.status().ToString() << " " << where;
+            ASSERT_TRUE(via_seams.ok()) << via_seams.status().ToString();
+            EXPECT_EQ(*via_seams, *bare) << where;
+            auto forced = PlannedConsistentAnswer(
+                problem, priority, family, *query, forced_enum, &forced_plan);
+            auto over_stale =
+                PlannedConsistentAnswer(problem, priority, family, *query,
+                                        forced_enum_stale, &stale_plan);
+            ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+            ASSERT_TRUE(over_stale.ok()) << over_stale.status().ToString();
+            EXPECT_EQ(*over_stale, *forced) << where;
+          } else {
+            auto bare = PlannedConsistentAnswers(problem, priority, family,
+                                                 *query, {}, &bare_plan);
+            auto via_seams = PlannedConsistentAnswers(
+                problem, priority, family, *query, seamed, &seamed_plan);
+            ASSERT_TRUE(bare.ok()) << bare.status().ToString() << " " << where;
+            ASSERT_TRUE(via_seams.ok()) << via_seams.status().ToString();
+            EXPECT_EQ(via_seams->variables, bare->variables) << where;
+            EXPECT_EQ(via_seams->rows, bare->rows) << where;
+            auto forced = PlannedConsistentAnswers(
+                problem, priority, family, *query, forced_enum, &forced_plan);
+            auto over_stale =
+                PlannedConsistentAnswers(problem, priority, family, *query,
+                                         forced_enum_stale, &stale_plan);
+            ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+            ASSERT_TRUE(over_stale.ok()) << over_stale.status().ToString();
+            EXPECT_EQ(over_stale->rows, forced->rows) << where;
+          }
+          ExpectSamePlan(seamed_plan, bare_plan, where);
+          ExpectSamePlan(stale_plan, forced_plan, where);
+          EXPECT_EQ(stale_plan.tier, CqaTier::kEnumeration) << where;
+          ++seamed_compared;
+          ++stale_forced;
+
+          // Forcing an ineligible tier is rejected even when the stale
+          // plan claims that very tier.
+          const bool fast_eligible =
+              rep_equivalent &&
+              (verdict ? shape.ground && shape.quantifier_free
+                       : shape.quantifier_free && shape.negation_free);
+          std::vector<CqaTier> ineligible;
+          if (conflicted) ineligible.push_back(CqaTier::kSingleRepair);
+          if (!fast_eligible) ineligible.push_back(CqaTier::kGroundFastPath);
+          for (CqaTier tier : ineligible) {
+            CqaPlan claims = explained;
+            claims.tier = tier;
+            EvalOptions forced_bad;
+            forced_bad.force_tier = tier;
+            forced_bad.prepared = &*prepared;
+            forced_bad.precomputed_plan = &claims;
+            Status status =
+                verdict ? PlannedConsistentAnswer(problem, priority, family,
+                                                  *query, forced_bad)
+                              .status()
+                        : PlannedConsistentAnswers(problem, priority, family,
+                                                   *query, forced_bad)
+                              .status();
+            EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+                << CqaTierName(tier) << " " << where << ": "
+                << status.ToString();
+            ++stale_rejected;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(seamed_compared, 400);
+  EXPECT_EQ(stale_forced, seamed_compared);
+  EXPECT_GT(stale_rejected, 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "base/random.h"
 #include "core/families.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "priority/priority.h"
 #include "query/evaluator.h"
 #include "repair/repair.h"
@@ -311,9 +312,9 @@ TEST(PreparedEvalEquivalence, MaskSizeMismatchIsRejected) {
 }
 
 // The CQA engines sit on top of the prepared path; pin one end-to-end
-// equivalence: PreferredConsistentAnswer on random instances agrees with
+// equivalence: PlannedConsistentAnswer on random instances agrees with
 // evaluating the reference evaluator per enumerated repair.
-TEST(PreparedEvalEquivalence, PreferredConsistentAnswerMatchesReferenceLoop) {
+TEST(PreparedEvalEquivalence, PlannedConsistentAnswerMatchesReferenceLoop) {
   Rng rng(31337);
   for (int trial = 0; trial < 15; ++trial) {
     GeneratedInstance instance =
@@ -329,7 +330,7 @@ TEST(PreparedEvalEquivalence, PreferredConsistentAnswerMatchesReferenceLoop) {
     for (RepairFamily family :
          {RepairFamily::kAll, RepairFamily::kLocal, RepairFamily::kGlobal}) {
       auto verdict =
-          PreferredConsistentAnswer(*problem, priority, family, *query);
+          PlannedConsistentAnswer(*problem, priority, family, *query);
       ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
 
       bool seen_true = false;
@@ -379,8 +380,8 @@ TEST(PreparedEvalEquivalence, GroundOpenAnswersMatchRepairIntersection) {
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
 
     Priority empty = Priority::Empty(problem->graph());
-    auto slow = PreferredConsistentAnswers(*problem, empty, RepairFamily::kAll,
-                                           *query);
+    auto slow = PlannedConsistentAnswers(*problem, empty, RepairFamily::kAll,
+                                         *query);
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
     EXPECT_EQ(fast->variables, slow->variables);
     EXPECT_EQ(fast->rows, slow->rows) << "query: " << query->ToString();

@@ -187,6 +187,42 @@ TEST(ParserTest, Errors) {
   }
 }
 
+// `depth` copies of `open`, then `core`, then `depth` copies of `close`.
+std::string Nest(const std::string& open, int depth, const std::string& core,
+                 const std::string& close = "") {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += core;
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+// `exists x1 . exists x2 . ... R(0)` with `depth` quantifiers.
+std::string ExistsChain(int depth) {
+  std::string out;
+  for (int i = 1; i <= depth; ++i) {
+    out += "exists x" + std::to_string(i) + " . ";
+  }
+  return out + "R(0)";
+}
+
+TEST(ParserTest, HostileNestingIsAParseErrorNotACrash) {
+  for (const std::string& text :
+       {Nest("not ", 100000, "R(0)"), Nest("(", 100000, "R(0)", ")"),
+        ExistsChain(100000)}) {
+    auto q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text.substr(0, 40);
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError)
+        << q.status().ToString();
+  }
+}
+
+TEST(ParserTest, ThousandLevelNestingStillParses) {
+  EXPECT_TRUE(ParseQuery(Nest("not ", 1000, "R(0)")).ok());
+  EXPECT_TRUE(ParseQuery(Nest("(", 1000, "R(0)", ")")).ok());
+  EXPECT_TRUE(ParseQuery(ExistsChain(1000)).ok());
+}
+
 TEST(ParserTest, RoundTripThroughToString) {
   for (const char* text : {
            "exists x, y . (R(x, y) and x < y)",

@@ -70,8 +70,8 @@ TEST(RobustnessFallbackTest, ContextDnfClampForcesTier2RuntimeFallback) {
   ExecutionLimits limits;
   limits.max_dnf_disjuncts = 1;
   ExecutionContext context(limits);
-  CqaPlannerOptions options;
-  options.parallel.context = &context;
+  EvalOptions options;
+  options.context = &context;
   CqaPlan executed;
   auto governed = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                           *query, options, &executed);
@@ -93,9 +93,9 @@ TEST(RobustnessFallbackTest, ForcedTier1SurfacesClampedExhaustionInstead) {
   ExecutionLimits limits;
   limits.max_dnf_disjuncts = 1;
   ExecutionContext context(limits);
-  CqaPlannerOptions options;
+  EvalOptions options;
   options.force_tier = CqaTier::kGroundFastPath;
-  options.parallel.context = &context;
+  options.context = &context;
   auto result = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                         *query, options);
   ASSERT_FALSE(result.ok());
@@ -116,7 +116,7 @@ TEST(RobustnessFallbackTest, TinyByteBudgetFallsBackToStreamingSameSet) {
     ExecutionLimits limits;
     limits.component_list_budget_bytes = 1;  // nothing fits
     ExecutionContext context(limits);
-    ParallelOptions options;
+    EvalOptions options;
     options.context = &context;
     uint64_t fallback_hits_before = 0;
     std::unique_ptr<failpoint::ScopedFailpoint> fp;
@@ -156,14 +156,15 @@ TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {
   auto query = MustParse("exists x . R(0, x, 1)");
   for (RepairFamily family : kAllFamilies) {
     auto reference =
-        PreferredConsistentAnswer(problem, priority, family, *query);
+        PlannedConsistentAnswer(problem, priority, family, *query);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     ExecutionLimits limits;
     limits.component_list_budget_bytes = 1;
     ExecutionContext context(limits);
-    ParallelOptions options;
+    EvalOptions options;
     options.threads = 4;
+    options.force_tier = CqaTier::kEnumeration;
     options.context = &context;
     uint64_t hits_before = 0;
     std::unique_ptr<failpoint::ScopedFailpoint> fp;
@@ -172,8 +173,8 @@ TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {
           "families.streaming_fallback", [] {});
       hits_before = fp->hit_count();
     }
-    auto squeezed = EnumeratedConsistentAnswer(problem, priority, family,
-                                               *query, options);
+    auto squeezed = PlannedConsistentAnswer(problem, priority, family, *query,
+                                            options);
     ASSERT_TRUE(squeezed.ok()) << squeezed.status().ToString();
     EXPECT_EQ(*squeezed, *reference) << RepairFamilyName(family);
     if (fp != nullptr) {
@@ -195,11 +196,11 @@ TEST(RobustnessFallbackTest, InjectedWorkerBadAllocSurfacesResourceExhausted) {
   // repairs so shards are genuinely mid-flight).
   failpoint::ScopedFailpoint fp("cqa.eval", [] { throw std::bad_alloc(); },
                                 /*skip=*/3, /*limit=*/1);
-  ParallelOptions options;
+  EvalOptions options;
   options.threads = 4;
-  auto result = EnumeratedConsistentAnswer(problem, priority,
-                                           RepairFamily::kAll, *query,
-                                           options);
+  options.force_tier = CqaTier::kEnumeration;
+  auto result = PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                        *query, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
       << result.status().ToString();
@@ -215,11 +216,11 @@ TEST(RobustnessFallbackTest, InjectedWorkerThrowSurfacesInternal) {
   failpoint::ScopedFailpoint fp(
       "cqa.eval", [] { throw std::runtime_error("injected eval fault"); },
       /*skip=*/1, /*limit=*/1);
-  ParallelOptions options;
+  EvalOptions options;
   options.threads = 4;
-  auto result = EnumeratedConsistentAnswer(problem, priority,
-                                           RepairFamily::kAll, *query,
-                                           options);
+  options.force_tier = CqaTier::kEnumeration;
+  auto result = PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                        *query, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal)
       << result.status().ToString();
@@ -263,7 +264,7 @@ TEST(RobustnessFallbackTest, InjectedDeadlineExpiryAtMaterializeBoundary) {
     context.set_deadline(ExecutionContext::Clock::now() -
                          std::chrono::milliseconds(1));
   });
-  ParallelOptions options;
+  EvalOptions options;
   options.context = &context;
   auto result =
       PreferredRepairs(graph, priority, RepairFamily::kCommon, options);

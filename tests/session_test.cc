@@ -173,22 +173,6 @@ TEST(SessionCacheTest, ForcedTierBypassesResultCache) {
   EXPECT_EQ(stats.plan_hits + stats.plan_misses, 0u);
 }
 
-TEST(SessionCacheTest, DisabledCacheStillAnswersCorrectly) {
-  GeneratedInstance inst = MakeRnInstance(2);
-  SessionOptions options;
-  options.enable_cache = false;
-  Session session(MustSnapshot(inst), options);
-  Priority empty = Priority::Empty(session.snapshot().graph());
-  auto query = MustParse("exists x, y . R(x, y)");
-  auto first = session.Ask(*query, empty, RepairFamily::kAll, {});
-  auto second = session.Ask(*query, empty, RepairFamily::kAll, {});
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*first, *second);
-  SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.result_misses + stats.result_hits, 0u);
-}
-
 TEST(SessionCacheTest, EvictionKeepsAnswersCorrectUnderTinyCap) {
   Rng rng(7);
   GeneratedInstance inst = MakeComponentsInstance(rng, {3, 3, 2});

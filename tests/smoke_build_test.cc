@@ -17,6 +17,7 @@
 #include "core/families.h"
 #include "cqa/aggregation.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "denial/denial.h"
 #include "graph/conflict_graph.h"
 #include "graph/digraph.h"
@@ -123,8 +124,8 @@ TEST_F(SmokeBuild, Cqa) {
   Priority empty = Priority::Empty(problem_->graph());
   auto query = ParseQuery("exists x, y . R(x, y)");
   ASSERT_TRUE(query.ok());
-  auto verdict = PreferredConsistentAnswer(*problem_, empty,
-                                           RepairFamily::kAll, **query);
+  auto verdict = PlannedConsistentAnswer(*problem_, empty,
+                                         RepairFamily::kAll, **query);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue);
   EXPECT_EQ(AggregateFunctionName(AggregateFunction::kCount), "COUNT");

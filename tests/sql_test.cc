@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/evaluator.h"
 #include "sql/sql.h"
 #include "workload/generators.h"
@@ -60,7 +61,7 @@ TEST(SqlTest, BooleanSqlDrivesCqa) {
       "WHERE m.Name = 'Mary' AND j.Name = 'John' AND m.Salary < j.Salary");
   ASSERT_TRUE(q.ok());
   auto verdict =
-      PreferredConsistentAnswer(*problem, empty, RepairFamily::kAll, **q);
+      PlannedConsistentAnswer(*problem, empty, RepairFamily::kAll, **q);
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
 }

@@ -9,6 +9,7 @@
 
 #include "constraints/fd_theory.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "repair/repair.h"
 #include "workload/generators.h"
@@ -224,8 +225,8 @@ TEST(WorkloadTest, OpenGroundCqaOnIntegrationWorkload) {
   ASSERT_TRUE(query.ok());
   auto fast = GroundConsistentOpenAnswers(problem, **query);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-  auto naive = PreferredConsistentAnswers(problem, empty, RepairFamily::kAll,
-                                          **query);
+  auto naive = PlannedConsistentAnswers(problem, empty, RepairFamily::kAll,
+                                        **query);
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(fast->variables, naive->variables);
   EXPECT_EQ(fast->rows, naive->rows);
