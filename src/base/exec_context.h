@@ -44,8 +44,8 @@ namespace prefrep {
 
 // Per-context resource knobs. Defaults reproduce the historical constexpr
 // budgets exactly (kComponentListBudgetBytes, kDefaultDnfDisjunctBudget,
-// kDefaultDnfLiteralBudget, and the 2^20 AllMaximalIndependentSets /
-// PreferredRepairs list cap), so a default context changes no behavior.
+// kDefaultDnfLiteralBudget, and the 2^20 PreferredRepairs / AllRepairs
+// list cap), so a default context changes no behavior.
 struct ExecutionLimits {
   // Bytes of materialized per-component repair lists admitted before the
   // enumeration falls back to streaming (was graph/components.h's 256 MB).
@@ -63,7 +63,7 @@ struct ExecutionLimits {
 
 // THE default repair-list cap (2^20): the single source of truth for the
 // `limit` default of every Result-valued enumerator (PreferredRepairs,
-// AllRepairs, AllMaximalIndependentSets, denial/extension forms).
+// AllRepairs, denial/extension forms).
 // Attached contexts override it per call via limits().max_repair_list.
 inline constexpr size_t kDefaultRepairListLimit =
     ExecutionLimits{}.max_repair_list;

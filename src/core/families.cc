@@ -162,37 +162,47 @@ class CommonRepairEnumerator {
   std::unordered_set<MemoKey, MemoHash, MemoEq> visited_;
 };
 
-// Streams the members of `family` on one component graph through `emit`
-// (local universe). kGlobal is excluded — it cannot stream (the
-// ≪-certificate needs the full component repair list); see
-// MaterializeComponentFamily / the single-component path below.
+// Streams the members of `family` on one graph through `emit` with
+// O(search depth) memory. kGlobal certifies each repair by a nested
+// ≪-witness search with both levels on MisEngine and `context`, so the
+// certificate is governed like the outer loop; the outer engine's
+// chosen-set scratch stays stable while the inner engine runs, so
+// `repair` needs no copy.
 template <typename Callback>
 bool StreamComponentFamily(const ConflictGraph& graph,
                            const Priority& priority, RepairFamily family,
-                           Callback&& emit,
-                           ExecutionContext* context = nullptr) {
+                           Callback&& emit, ExecutionContext* context) {
   switch (family) {
     case RepairFamily::kAll:
       return MisEngine(graph, context).Enumerate(emit);
     case RepairFamily::kLocal:
-      return MisEngine(graph, context)
-          .Enumerate([&](const DynamicBitset& repair) {
-            if (!IsLocallyOptimal(graph, priority, repair)) return true;
-            return emit(repair);
-          });
     case RepairFamily::kSemiGlobal:
       return MisEngine(graph, context)
           .Enumerate([&](const DynamicBitset& repair) {
-            if (!IsSemiGloballyOptimal(graph, priority, repair)) return true;
-            return emit(repair);
+            return !IsPreferredRepair(graph, priority, family, repair) ||
+                   emit(repair);
           });
     case RepairFamily::kCommon:
       return CommonRepairEnumerator(graph, priority, context).Run(emit);
     case RepairFamily::kGlobal:
       break;
   }
-  CHECK(false) << "kGlobal cannot stream";
-  return false;
+  DynamicBitset scratch1(graph.vertex_count());
+  DynamicBitset scratch2(graph.vertex_count());
+  MisEngine outer(graph, context);
+  MisEngine inner(graph, context);
+  return outer.Enumerate([&](const DynamicBitset& repair) {
+    bool dominated = false;
+    inner.Enumerate([&](const DynamicBitset& other) {
+      dominated = other != repair &&
+                  IsPreferredOver(priority, repair, other, scratch1, scratch2);
+      return !dominated;
+    });
+    // An interrupted certificate proves nothing: stop before emitting a
+    // repair the completed search might have rejected.
+    if (context != nullptr && context->interrupted()) return false;
+    return dominated || emit(repair);
+  });
 }
 
 // Erases the repairs that are not ≪-maximal among `repairs` (which must be
@@ -267,84 +277,64 @@ bool MaterializeComponentFamily(const ConflictGraph& graph,
   return StreamComponentFamily(graph, priority, family, collect, context);
 }
 
-// Streams `family` on one graph — the whole (connected) conflict graph or
-// one component's compact subgraph — through `emit`. kGlobal materializes
-// the graph's repair list first (the ≪-certificate needs it), falling back
-// to the seed's O(1)-memory nested certificate if the list is over budget.
+// Enumerates `family` on one graph — the whole (connected) conflict graph
+// or one component's compact subgraph — through `emit`. kGlobal first
+// materializes the graph's repair list and certifies against it; every
+// other family, and kGlobal past the byte budget, streams.
 template <typename Emit>
 bool EnumerateFamilyOnGraph(const ConflictGraph& graph,
                             const Priority& priority, RepairFamily family,
-                            Emit&& emit, ExecutionContext* context = nullptr) {
-  if (family != RepairFamily::kGlobal) {
-    return StreamComponentFamily(graph, priority, family, emit, context);
-  }
-  std::vector<DynamicBitset> repairs;
-  ResourceArbiter arbiter(
-      context != nullptr ? context->limits().component_list_budget_bytes
-                         : kComponentListBudgetBytes,
-      context != nullptr ? &context->stats() : nullptr);
-  if (MaterializeComponentFamily(graph, priority, family, &repairs, &arbiter,
-                                 context)) {
-    for (const DynamicBitset& repair : repairs) {
-      if (context != nullptr && context->ShouldStop()) return false;
-      if (!emit(repair)) return false;
+                            Emit&& emit, ExecutionContext* context) {
+  if (family == RepairFamily::kGlobal) {
+    std::vector<DynamicBitset> repairs;
+    ResourceArbiter arbiter(
+        context != nullptr ? context->limits().component_list_budget_bytes
+                           : kComponentListBudgetBytes,
+        context != nullptr ? &context->stats() : nullptr);
+    if (MaterializeComponentFamily(graph, priority, family, &repairs,
+                                   &arbiter, context)) {
+      for (const DynamicBitset& repair : repairs) {
+        if (context != nullptr && context->ShouldStop()) return false;
+        if (!emit(repair)) return false;
+      }
+      return true;
     }
-    return true;
+    if (context != nullptr && context->interrupted()) return false;
+    // Leaving the block releases the partial list before streaming — the
+    // moment memory pressure is highest.
   }
-  if (context != nullptr && context->interrupted()) return false;
-  // Release the partial list before the memory-free fallback — this is
-  // the moment memory pressure is highest.
-  repairs.clear();
-  repairs.shrink_to_fit();
-  return MisEngine(graph, context).Enumerate([&](const DynamicBitset& repair) {
-    if (!IsGloballyOptimal(graph, priority, repair)) return true;
-    return emit(repair);
-  });
+  return EnumeratePreferredRepairsStreaming(graph, priority, family, emit,
+                                            context);
 }
 
-// Whole-graph streaming fallback (the seed's forms) for the pathological
-// case where even per-component lists exceed the byte budget.
-bool EnumerateWholeGraphFallback(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const std::function<bool(const DynamicBitset&)>& callback,
-    ExecutionContext* context = nullptr) {
-  PREFREP_FAILPOINT("families.streaming_fallback");
-  switch (family) {
-    case RepairFamily::kAll:
-    case RepairFamily::kLocal:
-    case RepairFamily::kSemiGlobal:
-    case RepairFamily::kCommon:
-      return StreamComponentFamily(graph, priority, family, callback, context);
-    case RepairFamily::kGlobal: {
-      // Nested streaming ≪-witness search with both levels on MisEngine
-      // directly: going through IsGloballyOptimal here would re-attempt
-      // the (already failed) per-component materialization inside every
-      // certificate. The outer engine's chosen-set scratch stays stable
-      // while the inner engine runs, so `repair` needs no copy.
-      int n = graph.vertex_count();
-      DynamicBitset scratch1(n);
-      DynamicBitset scratch2(n);
-      MisEngine outer(graph, context);
-      MisEngine inner(graph, context);
-      return outer.Enumerate([&](const DynamicBitset& repair) {
-        bool dominated = false;
-        inner.Enumerate([&](const DynamicBitset& other) {
-          if (other == repair) return true;
-          if (IsPreferredOver(priority, repair, other, scratch1, scratch2)) {
-            dominated = true;
-            return false;
-          }
-          return true;
-        });
-        // An interrupted certificate proves nothing: stop before emitting
-        // a repair the completed search might have rejected.
-        if (context != nullptr && context->interrupted()) return false;
-        if (dominated) return true;
-        return callback(repair);
-      });
-    }
+// Rep reads no priority, so kAll skips the projection (its priority may be
+// default-constructed) and its components get empty placeholders.
+std::vector<Priority> LocalPriorities(
+    const ComponentDecomposition& decomposition, const Priority& priority,
+    RepairFamily family) {
+  if (family == RepairFamily::kAll) {
+    return std::vector<Priority>(decomposition.components().size());
   }
-  return true;
+  return ProjectPriorities(decomposition, priority);
+}
+
+// Materializes every component's family list into `lists` under the byte
+// budget; the status contract is MaterializeComponentLists'.
+Status MaterializeFamilyLists(const ComponentDecomposition& decomposition,
+                              const Priority& priority, RepairFamily family,
+                              const ParallelOptions& options,
+                              std::vector<std::vector<DynamicBitset>>* lists,
+                              ThreadPool* pool = nullptr) {
+  std::vector<Priority> local_priorities =
+      LocalPriorities(decomposition, priority, family);
+  return MaterializeComponentLists(
+      decomposition, options,
+      [&](int c, std::vector<DynamicBitset>* out, ResourceArbiter* arbiter) {
+        return MaterializeComponentFamily(
+            decomposition.components()[c].graph, local_priorities[c], family,
+            out, arbiter, options.context);
+      },
+      lists, pool);
 }
 
 }  // namespace
@@ -397,19 +387,9 @@ bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
 // streamed lazily so early-stop callbacks still short-circuit.
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumeratePreferredRepairs(graph, priority, family, ParallelOptions{},
-                                   callback);
-}
-
-bool EnumeratePreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback) {
   ExecutionContext* context = options.context;
-  if (family == RepairFamily::kAll) {
-    return EnumerateMaximalIndependentSets(graph, options, callback);
-  }
   if (SpansOneComponent(graph)) {
     // Connected graph: no decomposition, no priority projection, no
     // remapping — enumerate in place. There is only one component, so
@@ -422,33 +402,37 @@ bool EnumeratePreferredRepairs(
     // Only isolated vertices: the unique repair belongs to every family.
     return callback(decomposition.isolated());
   }
-  std::vector<Priority> local_priorities =
-      ProjectPriorities(decomposition, priority);
   if (components.size() == 1) {
     // One non-singleton component plus isolated vertices: enumerate the
-    // component locally and scatter into the full universe.
-    const GraphComponent& component = decomposition.components()[0];
+    // component locally and scatter into the full universe — no
+    // materialization, matching the memory profile of a connected graph.
     DynamicBitset scratch = decomposition.isolated();
     return EnumerateFamilyOnGraph(
-        component.graph, local_priorities[0], family,
+        components[0].graph,
+        LocalPriorities(decomposition, priority, family)[0], family,
         [&](const DynamicBitset& local) {
           decomposition.Scatter(0, local, scratch);
           return callback(scratch);
         },
         context);
   }
-  std::optional<bool> complete = TryEnumerateViaComponentProduct(
-      decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* out, ResourceArbiter* arbiter) {
-        return MaterializeComponentFamily(components[c].graph,
-                                          local_priorities[c], family, out,
-                                          arbiter, context);
-      },
-      callback);
-  if (complete.has_value()) return *complete;
-  if (context != nullptr && context->interrupted()) return false;
-  return EnumerateWholeGraphFallback(graph, priority, family, callback,
-                                     context);
+  // Materialize each component's family list in its compact universe,
+  // then stream the cross product. If the lists outgrow the byte budget
+  // (only possible when one component alone has an astronomical repair
+  // space), fall back to whole-graph streaming.
+  std::vector<std::vector<DynamicBitset>> lists;
+  Status materialized = MaterializeFamilyLists(decomposition, priority,
+                                               family, options, &lists);
+  if (materialized.code() == StatusCode::kResourceExhausted) {
+    lists.clear();
+    lists.shrink_to_fit();  // free before the streaming fallback
+    if (context != nullptr && context->interrupted()) return false;
+    return EnumeratePreferredRepairsStreaming(graph, priority, family,
+                                              callback, context);
+  }
+  if (!materialized.ok()) return false;  // interrupted; context holds why
+  return ComponentProductEnumerator(decomposition, std::move(lists), context)
+      .Enumerate(callback);
 }
 
 Result<std::vector<DynamicBitset>> PreferredRepairs(
@@ -486,19 +470,9 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 std::optional<ComponentFamilyLists> MaterializeComponentFamilyLists(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options, ThreadPool* pool) {
-  ComponentFamilyLists out{ComponentDecomposition(graph), {}, {}};
-  const std::vector<GraphComponent>& components =
-      out.decomposition.components();
-  out.local_priorities = ProjectPriorities(out.decomposition, priority);
-  ExecutionContext* context = options.context;
-  Status materialized = MaterializeComponentLists(
-      out.decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* list, ResourceArbiter* arbiter) {
-        return MaterializeComponentFamily(components[c].graph,
-                                          out.local_priorities[c], family,
-                                          list, arbiter, context);
-      },
-      &out.choices, pool);
+  ComponentFamilyLists out{ComponentDecomposition(graph), {}};
+  Status materialized = MaterializeFamilyLists(
+      out.decomposition, priority, family, options, &out.choices, pool);
   // Both overflow and interrupt yield nullopt: the streaming/serial paths
   // the caller falls back to poll the context themselves, so an interrupt
   // still surfaces without re-running the materialization.
@@ -510,8 +484,8 @@ bool EnumeratePreferredRepairsStreaming(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const std::function<bool(const DynamicBitset&)>& callback,
     ExecutionContext* context) {
-  return EnumerateWholeGraphFallback(graph, priority, family, callback,
-                                     context);
+  PREFREP_FAILPOINT("families.streaming_fallback");
+  return StreamComponentFamily(graph, priority, family, callback, context);
 }
 
 }  // namespace prefrep

@@ -3,7 +3,9 @@
 //
 // PreferredRepairs / EnumeratePreferredRepairs select the subset of the
 // repair space a family retains under a given priority; these drive the
-// preferred-consistent-query-answer engines in src/cqa.
+// preferred-consistent-query-answer engines in src/cqa. Rep is the
+// kAll family on the same path — every repair enumeration in the library
+// (RepairProblem's, IsGloballyOptimal's) goes through it.
 
 #ifndef PREFREP_CORE_FAMILIES_H_
 #define PREFREP_CORE_FAMILIES_H_
@@ -62,26 +64,21 @@ RepairFamily EffectiveFamily(const Priority& priority, RepairFamily family);
 bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
                        RepairFamily family, const DynamicBitset& repair);
 
-// Visits every repair of the family exactly once (order unspecified).
-// The callback returns false to stop early; returns true iff enumeration
-// completed. For kGlobal this runs the co-NP witness search per repair;
-// for kCommon it explores the Algorithm 1 choice tree with memoization.
-bool EnumeratePreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const std::function<bool(const DynamicBitset&)>& callback);
-
-// Same, with per-component family materialization fanned out across
-// options.threads workers: each component is searched by its own engine
-// instance on one thread (engines are single-threaded by design), the
-// per-component lists merge in component order, and the product odometer
-// streams combinations through `callback` on the calling thread — so the
-// emitted sequence is identical to the serial form and options only
-// change wall-clock. threads <= 1 takes the serial path unchanged. One
-// caveat at the edge of the kComponentListBudgetBytes budget: parallel
-// G-Rep materialization holds several unfiltered lists concurrently where
-// serial holds one at a time, so a transient peak can trip the streaming
-// fallback where serial squeaks by — the repair *set* is still identical,
-// but the fallback's emission order differs from the product's.
+// Visits every repair of the family exactly once (order unspecified): the
+// library's one enumeration skeleton, Rep included. The callback returns
+// false to stop early; returns true iff enumeration completed. Each
+// component's family list is materialized in its compact universe under
+// the byte budget, one engine per component on options.threads workers,
+// and the lists' product streams through `callback` on the calling
+// thread — the emitted sequence is identical at every thread count.
+// Connected graphs, single components and lists over the budget stream
+// instead (EnumeratePreferredRepairsStreaming). Caveat at the edge of the
+// budget: parallel G-Rep materialization holds several unfiltered lists
+// at once, so a transient peak can trip the streaming fallback where
+// serial squeaks by — same repair *set*, different order.
+//
+// Rep (kAll) reads no priority: a default-constructed Priority is valid
+// for it.
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
@@ -98,13 +95,11 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
     const EvalOptions& options = {});
 
 // Per-component family lists in their compact local universes, together
-// with the decomposition and projected priorities that define them. The
-// input of sharded consumers: cqa.cc splits the product space across
-// worker threads by slicing one component's list
-// (ComponentProductEnumerator::EnumerateSlice).
+// with the decomposition that defines them. The input of sharded
+// consumers: cqa.cc splits the product space across worker threads by
+// slicing one component's list (ComponentProductEnumerator::EnumerateSlice).
 struct ComponentFamilyLists {
   ComponentDecomposition decomposition;
-  std::vector<Priority> local_priorities;
   std::vector<std::vector<DynamicBitset>> choices;
 };
 
@@ -124,12 +119,14 @@ MaterializeComponentFamilyLists(const ConflictGraph& graph,
                                 const ParallelOptions& options,
                                 ThreadPool* pool = nullptr);
 
-// Whole-graph streaming enumeration with O(search depth) memory: the
-// forms EnumeratePreferredRepairs falls back to once per-component lists
-// exceed the byte budget. For consumers that already know the budget is
-// blown — re-running the doomed materialization would double the
-// exponential core. Emission order differs from the product-based path
-// (there is no product); the set of repairs is identical.
+// Whole-graph streaming enumeration with O(search depth) memory: how
+// EnumeratePreferredRepairs runs on a connected graph or a single
+// component, and what it falls back to once per-component lists exceed
+// the byte budget (its Debug failpoint marks every whole-graph stream).
+// kGlobal certifies each repair by a nested, context-governed ≪-witness
+// search. For consumers that already know the budget is blown —
+// re-running the doomed materialization would double the exponential
+// core. Emission order differs from the product path; the set is equal.
 bool EnumeratePreferredRepairsStreaming(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const std::function<bool(const DynamicBitset&)>& callback,

@@ -1,6 +1,6 @@
 #include "core/optimality.h"
 
-#include "graph/mis.h"
+#include "core/families.h"
 
 namespace prefrep {
 
@@ -65,14 +65,16 @@ bool IsGloballyOptimal(const ConflictGraph& graph, const Priority& priority,
   bool found_witness = false;
   DynamicBitset scratch1(repair.size());
   DynamicBitset scratch2(repair.size());
-  EnumerateMaximalIndependentSets(graph, [&](const DynamicBitset& other) {
-    if (other == repair) return true;
-    if (IsPreferredOver(priority, repair, other, scratch1, scratch2)) {
-      found_witness = true;
-      return false;  // stop enumeration
-    }
-    return true;
-  });
+  EnumeratePreferredRepairs(graph, Priority(), RepairFamily::kAll, {},
+                            [&](const DynamicBitset& other) {
+                              if (other == repair) return true;
+                              if (IsPreferredOver(priority, repair, other,
+                                                  scratch1, scratch2)) {
+                                found_witness = true;
+                                return false;  // stop enumeration
+                              }
+                              return true;
+                            });
   return !found_witness;
 }
 

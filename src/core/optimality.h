@@ -58,7 +58,9 @@ namespace prefrep {
                                          const DynamicBitset& repair);
 
 // G via Prop. 5: no repair r'' != r' with r' ≪ r''. The witness search
-// enumerates repairs (co-NP-complete in general, Theorem 5).
+// enumerates repairs through the Rep family (co-NP-complete in general,
+// Theorem 5). The repair-checking API and the reference the per-component
+// G-Rep certificates are tested against.
 [[nodiscard]] bool IsGloballyOptimal(const ConflictGraph& graph,
                                      const Priority& priority,
                                      const DynamicBitset& repair);

@@ -20,7 +20,7 @@ Result<bool> SatisfiesNonEmptiness(const ConflictGraph& graph,
                                    const Priority& priority,
                                    RepairFamily family) {
   bool found = false;
-  EnumeratePreferredRepairs(graph, priority, family,
+  EnumeratePreferredRepairs(graph, priority, family, {},
                             [&found](const DynamicBitset&) {
                               found = true;
                               return false;  // one witness suffices

@@ -5,6 +5,7 @@
 #include <new>
 
 #include "base/exec_context.h"
+#include "graph/components.h"
 #include "graph/mis.h"
 
 namespace prefrep {
@@ -163,43 +164,14 @@ Result<AggregateRange> CountStarRange(const RepairProblem& problem,
   // Repairs decompose over connected components; the minimum (maximum)
   // repair size restricted to the relation is the sum of per-component
   // minima (maxima).
+  PREFREP_ASSIGN_OR_RETURN(
+      MisSizeRange sizes,
+      MaskedMisSizeRange(ComponentDecomposition(problem.graph()),
+                         relation_mask, context));
   AggregateRange range;
   range.has_value = true;
-  int64_t lo = 0;
-  int64_t hi = 0;
-  for (const std::vector<int>& component :
-       problem.graph().ConnectedComponents()) {
-    if (context != nullptr && context->ShouldStop()) {
-      return context->StatusWithStats();
-    }
-    if (component.size() == 1) {
-      // Isolated tuple: present in every repair.
-      if (relation_mask.Test(component[0])) {
-        ++lo;
-        ++hi;
-      }
-      continue;
-    }
-    int comp_min = std::numeric_limits<int>::max();
-    int comp_max = 0;
-    for (const DynamicBitset& mis :
-         ComponentMaximalIndependentSets(problem.graph(), component,
-                                         context)) {
-      int size = mis.IntersectionCount(relation_mask);
-      comp_min = std::min(comp_min, size);
-      comp_max = std::max(comp_max, size);
-    }
-    // An interrupted MIS search returns a truncated list whose min/max
-    // say nothing about the component.
-    if (context != nullptr && context->interrupted()) {
-      return context->StatusWithStats();
-    }
-    if (context != nullptr) context->stats().AddComponentsCompleted();
-    lo += comp_min;
-    hi += comp_max;
-  }
-  range.lo = static_cast<double>(lo);
-  range.hi = static_cast<double>(hi);
+  range.lo = static_cast<double>(sizes.lo);
+  range.hi = static_cast<double>(sizes.hi);
   return range;
 }
 

@@ -4,18 +4,19 @@
 // notion in the paper decomposes over connected components: a set is a
 // (preferred) repair of the whole graph iff its restriction to each
 // component is a (preferred) repair of that component (Staworko-Chomicki-
-// Marcinkowski exploit the same structure). The enumeration engines
-// therefore search each component in its own compact universe — bitsets,
-// memo keys and optimality certificates all shrink to component size —
-// and recombine per-component results lazily with a cross-product
-// odometer (ComponentProductEnumerator).
+// Marcinkowski exploit the same structure). The one enumeration skeleton,
+// EnumeratePreferredRepairs in core/families.h, therefore searches each
+// component in its own compact universe — bitsets, memo keys and
+// optimality certificates all shrink to component size — materializes
+// the per-component lists under a byte budget (MaterializeComponentLists)
+// and recombines them lazily with a cross-product odometer
+// (ComponentProductEnumerator).
 
 #ifndef PREFREP_GRAPH_COMPONENTS_H_
 #define PREFREP_GRAPH_COMPONENTS_H_
 
 #include <atomic>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,18 +29,18 @@
 
 namespace prefrep {
 
-// Default budget for materialized per-component choice lists (MIS lists in
-// graph/mis.cc, family lists in core/families.cc) when no ExecutionContext
-// is attached; contexts carry their own limit in ExecutionLimits. Only a
-// component whose own repair space is astronomical can exceed it; the
-// enumerators then fall back to whole-graph streaming forms with O(depth)
-// memory. The accounting itself lives in base/exec_context.h's
-// ResourceArbiter (shared by every producer of one enumeration call;
-// thread-safe so parallel per-component producers can share it — whether a
-// charge overflows depends only on the grand total, not on thread
-// interleaving, except transient peaks of producers that refund, where a
-// parallel run can overflow where serial would squeak by; both outcomes
-// are correct since overflow only selects the streaming fallback).
+// Default budget for materialized per-component family lists
+// (core/families.cc, Rep included) when no ExecutionContext is attached;
+// contexts carry their own limit in ExecutionLimits. Only a component
+// whose own repair space is astronomical can exceed it; the enumerator
+// then falls back to whole-graph streaming with O(depth) memory. The
+// accounting itself lives in base/exec_context.h's ResourceArbiter
+// (shared by every producer of one enumeration call; thread-safe so
+// parallel per-component producers can share it — whether a charge
+// overflows depends only on the grand total, not on thread interleaving,
+// except transient peaks of producers that refund, where a parallel run
+// can overflow where serial would squeak by; both outcomes are correct
+// since overflow only selects the streaming fallback).
 inline constexpr size_t kComponentListBudgetBytes =
     ExecutionLimits{}.component_list_budget_bytes;
 
@@ -270,34 +271,6 @@ template <typename ProduceComponent>
   }
   if (!pool_status.ok()) return pool_status;
   return finish(overflow.load(std::memory_order_relaxed));
-}
-
-// Materializes one choice list per component via `produce` (see
-// MaterializeComponentLists for its contract and the threading model) and
-// streams their cross product through `callback`; this is the one place
-// the budget/product orchestration lives, shared by the MIS and family
-// enumerators. Returns nullopt when some component overflowed the byte
-// budget (the caller picks its whole-graph streaming fallback), otherwise
-// the product enumeration's completion flag — false in particular when the
-// context was interrupted (entry points convert that to kCancelled /
-// kDeadlineExceeded via the context's latched status).
-template <typename ProduceComponent>
-std::optional<bool> TryEnumerateViaComponentProduct(
-    const ComponentDecomposition& decomposition,
-    const ParallelOptions& options, ProduceComponent&& produce,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  std::vector<std::vector<DynamicBitset>> lists;
-  Status materialized = MaterializeComponentLists(
-      decomposition, options, std::forward<ProduceComponent>(produce), &lists);
-  if (materialized.code() == StatusCode::kResourceExhausted) {
-    lists.clear();
-    lists.shrink_to_fit();  // free before the caller's streaming fallback
-    return std::nullopt;
-  }
-  if (!materialized.ok()) return false;  // interrupted; context holds why
-  return ComponentProductEnumerator(decomposition, std::move(lists),
-                                    options.context)
-      .Enumerate(callback);
 }
 
 }  // namespace prefrep

@@ -1,11 +1,9 @@
 #include "graph/mis.h"
 
 #include <algorithm>
-#include <new>
-#include <optional>
+#include <limits>
 #include <utility>
 
-#include "base/failpoint.h"
 #include "graph/components.h"
 
 namespace prefrep {
@@ -32,114 +30,6 @@ MisEngine::Frame& MisEngine::FrameAt(int depth) {
   return *frames_[depth];
 }
 
-bool EnumerateMaximalIndependentSets(
-    const ConflictGraph& graph,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumerateMaximalIndependentSets(graph, ParallelOptions{}, callback);
-}
-
-bool EnumerateMaximalIndependentSets(
-    const ConflictGraph& graph, const ParallelOptions& options,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  ExecutionContext* context = options.context;
-  if (SpansOneComponent(graph)) {
-    // Connected graph: no decomposition, no remapping — search in place.
-    MisEngine engine(graph, context);
-    return engine.Enumerate(callback);
-  }
-  ComponentDecomposition decomposition(graph);
-  const std::vector<GraphComponent>& components = decomposition.components();
-
-  if (components.empty()) {
-    // Only isolated vertices: the unique repair keeps all of them.
-    return callback(decomposition.isolated());
-  }
-
-  if (components.size() == 1) {
-    // Single component: stream straight out of the engine — no
-    // materialization, matching the memory profile of the monolithic
-    // search on connected graphs.
-    DynamicBitset scratch = decomposition.isolated();
-    MisEngine engine(components[0].graph, context);
-    return engine.Enumerate([&](const DynamicBitset& local) {
-      decomposition.Scatter(0, local, scratch);
-      return callback(scratch);
-    });
-  }
-
-  // Materialize each component's MIS list in its compact universe, then
-  // stream the cross product. If the lists outgrow the byte budget (only
-  // possible when one component alone has an astronomical repair space),
-  // fall back to the whole-graph streaming search.
-  std::optional<bool> complete = TryEnumerateViaComponentProduct(
-      decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* out, ResourceArbiter* arbiter) {
-        const ConflictGraph& subgraph = components[c].graph;
-        const size_t per_set_bytes =
-            DynamicBitset(subgraph.vertex_count()).MemoryBytes();
-        MisEngine engine(subgraph, context);
-        return engine.Enumerate([&](const DynamicBitset& local) {
-          if (!arbiter->TryCharge(per_set_bytes)) return false;
-          out->push_back(local);
-          return true;
-        });
-      },
-      callback);
-  if (complete.has_value()) return *complete;
-  if (context != nullptr && context->interrupted()) return false;
-  PREFREP_FAILPOINT("families.streaming_fallback");
-  MisEngine whole(graph, context);
-  return whole.Enumerate(callback);
-}
-
-std::vector<DynamicBitset> ComponentMaximalIndependentSets(
-    const ConflictGraph& graph, const std::vector<int>& component,
-    ExecutionContext* context) {
-  ConflictGraph subgraph = InducedSubgraph(graph, component);
-  MisEngine engine(subgraph, context);
-  std::vector<DynamicBitset> results;
-  DynamicBitset scratch(graph.vertex_count());
-  engine.Enumerate([&](const DynamicBitset& local) {
-    for (size_t i = 0; i < component.size(); ++i) {
-      scratch.Assign(component[i], local.Test(static_cast<int>(i)));
-    }
-    results.push_back(scratch);
-    return true;
-  });
-  return results;
-}
-
-Result<std::vector<DynamicBitset>> AllMaximalIndependentSets(
-    const ConflictGraph& graph, size_t limit) {
-  return AllMaximalIndependentSets(graph, ParallelOptions{}, limit);
-}
-
-Result<std::vector<DynamicBitset>> AllMaximalIndependentSets(
-    const ConflictGraph& graph, const ParallelOptions& options, size_t limit) try {
-  ExecutionContext* context = options.context;
-  if (context != nullptr) {
-    limit = std::min(limit, context->limits().max_repair_list);
-  }
-  std::vector<DynamicBitset> results;
-  bool complete = EnumerateMaximalIndependentSets(
-      graph, options, [&results, limit](const DynamicBitset& s) {
-        if (results.size() >= limit) return false;
-        results.push_back(s);
-        return true;
-      });
-  if (!complete) {
-    if (context != nullptr && context->interrupted()) {
-      return context->StatusWithStats();
-    }
-    return Status::ResourceExhausted(
-        "more than " + std::to_string(limit) + " maximal independent sets");
-  }
-  return results;
-} catch (const std::bad_alloc&) {
-  return Status::ResourceExhausted(
-      "allocation failed materializing maximal independent sets");
-}
-
 BigUint CountMaximalIndependentSets(const ConflictGraph& graph) {
   ComponentDecomposition decomposition(graph);
   BigUint total = BigUint::One();
@@ -153,6 +43,39 @@ BigUint CountMaximalIndependentSets(const ConflictGraph& graph) {
     total *= BigUint(count);
   }
   return total;
+}
+
+Result<MisSizeRange> MaskedMisSizeRange(
+    const ComponentDecomposition& decomposition, const DynamicBitset& mask,
+    ExecutionContext* context) {
+  MisSizeRange range;
+  range.lo = range.hi = decomposition.isolated().IntersectionCount(mask);
+  const std::vector<GraphComponent>& components = decomposition.components();
+  for (size_t c = 0; c < components.size(); ++c) {
+    if (context != nullptr && context->ShouldStop()) {
+      return context->StatusWithStats();
+    }
+    DynamicBitset local_mask(components[c].graph.vertex_count());
+    decomposition.Gather(static_cast<int>(c), mask, local_mask);
+    int comp_min = std::numeric_limits<int>::max();
+    int comp_max = 0;
+    MisEngine engine(components[c].graph, context);
+    engine.Enumerate([&](const DynamicBitset& mis) {
+      int size = mis.IntersectionCount(local_mask);
+      comp_min = std::min(comp_min, size);
+      comp_max = std::max(comp_max, size);
+      return true;
+    });
+    // An interrupted search saw a prefix of the component's sets, whose
+    // extremes say nothing about the component.
+    if (context != nullptr && context->interrupted()) {
+      return context->StatusWithStats();
+    }
+    if (context != nullptr) context->stats().AddComponentsCompleted();
+    range.lo += comp_min;
+    range.hi += comp_max;
+  }
+  return range;
 }
 
 }  // namespace prefrep

@@ -1,18 +1,19 @@
-// Maximal-independent-set enumeration: the repair space of a database.
+// Maximal-independent-set search: the repair space of a database.
 //
 // MisEngine runs Bron–Kerbosch with pivoting (on the complement graph,
 // expressed directly with vicinity masks) as an explicit stack over pooled
-// frames — no bitset is allocated per search node. The whole-graph entry
-// points decompose the graph into connected components first, search each
-// component in its compact local universe, and recombine the per-component
-// results lazily with ComponentProductEnumerator (early-stop callbacks
-// still short-circuit). Counting multiplies per-component counts in exact
-// BigUint arithmetic (Example 4 exhibits 2^n repairs).
+// frames — no bitset is allocated per search node. It searches one graph,
+// typically one component's compact subgraph. Whole-graph enumeration of
+// the repair space (decomposition, per-component lists under the byte
+// budget, the lazy product and the streaming fallback) is the Rep family
+// of core/families.h: EnumeratePreferredRepairs with RepairFamily::kAll.
+// Counting multiplies per-component counts in exact BigUint arithmetic
+// (Example 4 exhibits 2^n repairs).
 
 #ifndef PREFREP_GRAPH_MIS_H_
 #define PREFREP_GRAPH_MIS_H_
 
-#include <functional>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "base/bitset.h"
 #include "base/exec_context.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "graph/conflict_graph.h"
 
 namespace prefrep {
@@ -126,46 +126,26 @@ class MisEngine {
   std::vector<std::unique_ptr<Frame>> frames_;
 };
 
-// Visits every maximal independent set of `graph` exactly once. The callback
-// returns false to stop enumeration early. Returns true iff enumeration ran
-// to completion. Bitsets passed to the callback span the full vertex set.
-bool EnumerateMaximalIndependentSets(
-    const ConflictGraph& graph,
-    const std::function<bool(const DynamicBitset&)>& callback);
-
-// Same, with per-component materialization fanned out across
-// options.threads workers (each component searched by its own MisEngine on
-// one thread). The callback always runs on the calling thread, in the same
-// order as the serial form, so options only change wall-clock, never
-// results (caveat: within a hair of the kComponentListBudgetBytes budget,
-// concurrent producers' transient peak can trip the whole-graph streaming
-// fallback where serial would not — same MIS set, different order).
-// Connected graphs take the serial streaming path unchanged — there is
-// only one component to search.
-bool EnumerateMaximalIndependentSets(
-    const ConflictGraph& graph, const ParallelOptions& options,
-    const std::function<bool(const DynamicBitset&)>& callback);
-
-// All maximal independent sets of the subgraph induced by `component`
-// (bitsets span the full vertex set but only touch component vertices).
-// An interrupted context yields a truncated list — callers must consult
-// the context before trusting it.
-[[nodiscard]] std::vector<DynamicBitset> ComponentMaximalIndependentSets(
-    const ConflictGraph& graph, const std::vector<int>& component,
-    ExecutionContext* context = nullptr);
-
-// Materializes all maximal independent sets, failing with
-// kResourceExhausted if there are more than `limit` (clamped to
-// options.context's max_repair_list when a context is attached); an
-// interrupted context fails with its kCancelled / kDeadlineExceeded.
-Result<std::vector<DynamicBitset>> AllMaximalIndependentSets(
-    const ConflictGraph& graph, size_t limit = kDefaultRepairListLimit);
-Result<std::vector<DynamicBitset>> AllMaximalIndependentSets(
-    const ConflictGraph& graph, const ParallelOptions& options,
-    size_t limit = kDefaultRepairListLimit);
-
 // Exact number of maximal independent sets (product over components).
 [[nodiscard]] BigUint CountMaximalIndependentSets(const ConflictGraph& graph);
+
+class ComponentDecomposition;
+
+struct MisSizeRange {
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+
+// The range of |S ∩ mask| over the maximal independent sets S of the
+// decomposed graph (`mask` spans the full vertex set; an all-set mask
+// gives the repair-size range). Sizes add over components, so this is the
+// isolated vertices' share plus each component's extremes, streamed from
+// a MisEngine over the component — no list is materialized. `context`,
+// when set, is polled per component and inside each search; an interrupt
+// returns its kCancelled / kDeadlineExceeded status.
+[[nodiscard]] Result<MisSizeRange> MaskedMisSizeRange(
+    const ComponentDecomposition& decomposition, const DynamicBitset& mask,
+    ExecutionContext* context = nullptr);
 
 }  // namespace prefrep
 

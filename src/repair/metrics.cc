@@ -1,8 +1,8 @@
 #include "repair/metrics.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "graph/components.h"
 #include "graph/mis.h"
 
 namespace prefrep {
@@ -37,31 +37,19 @@ RepairSpaceMetrics ComputeRepairSpaceMetrics(const RepairProblem& problem,
   }
   metrics.repair_count = problem.CountRepairs();
 
-  int min_size = 0;
-  int max_size = 0;
-  auto components = graph.ConnectedComponents();
-  metrics.component_count = static_cast<int>(components.size());
-  for (const std::vector<int>& component : components) {
+  ComponentDecomposition decomposition(graph);
+  int isolated = decomposition.isolated().Count();
+  metrics.component_count =
+      static_cast<int>(decomposition.components().size()) + isolated;
+  metrics.largest_component = isolated > 0 ? 1 : 0;
+  for (const GraphComponent& component : decomposition.components()) {
     metrics.largest_component = std::max(
-        metrics.largest_component, static_cast<int>(component.size()));
-    if (component.size() == 1) {
-      ++min_size;
-      ++max_size;
-      continue;
-    }
-    int comp_min = std::numeric_limits<int>::max();
-    int comp_max = 0;
-    for (const DynamicBitset& mis :
-         ComponentMaximalIndependentSets(graph, component)) {
-      int size = mis.Count();
-      comp_min = std::min(comp_min, size);
-      comp_max = std::max(comp_max, size);
-    }
-    min_size += comp_min;
-    max_size += comp_max;
+        metrics.largest_component, static_cast<int>(component.vertices.size()));
   }
-  metrics.min_repair_size = min_size;
-  metrics.max_repair_size = max_size;
+  MisSizeRange sizes = *MaskedMisSizeRange(
+      decomposition, DynamicBitset::AllSet(graph.vertex_count()));
+  metrics.min_repair_size = static_cast<int>(sizes.lo);
+  metrics.max_repair_size = static_cast<int>(sizes.hi);
 
   if (priority != nullptr) {
     for (auto [u, v] : graph.edges()) {

@@ -6,10 +6,12 @@
 #ifndef PREFREP_REPAIR_REPAIR_H_
 #define PREFREP_REPAIR_REPAIR_H_
 
+#include <functional>
 #include <vector>
 
 #include "base/biguint.h"
 #include "base/bitset.h"
+#include "base/exec_context.h"
 #include "base/status.h"
 #include "constraints/conflicts.h"
 #include "constraints/fd.h"
@@ -49,17 +51,14 @@ class RepairProblem {
     return graph_.IsMaximalIndependent(subset);
   }
 
-  // Visits every repair; callback returns false to stop. Returns true iff
-  // enumeration completed.
+  // Visits every repair (the Rep family of core/families.h); callback
+  // returns false to stop. Returns true iff enumeration completed.
   bool EnumerateRepairs(
-      const std::function<bool(const DynamicBitset&)>& callback) const {
-    return EnumerateMaximalIndependentSets(graph_, callback);
-  }
+      const std::function<bool(const DynamicBitset&)>& callback) const;
 
   // All repairs, failing with kResourceExhausted beyond `limit`.
-  Result<std::vector<DynamicBitset>> AllRepairs(size_t limit = kDefaultRepairListLimit) const {
-    return AllMaximalIndependentSets(graph_, limit);
-  }
+  Result<std::vector<DynamicBitset>> AllRepairs(
+      size_t limit = kDefaultRepairListLimit) const;
 
   // Exact repair count (2^n for Example 4's r_n).
   BigUint CountRepairs() const { return CountMaximalIndependentSets(graph_); }

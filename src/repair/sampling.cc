@@ -1,5 +1,10 @@
 #include "repair/sampling.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "graph/components.h"
 #include "graph/mis.h"
 
 namespace prefrep {
@@ -9,17 +14,23 @@ Result<RepairSampler> RepairSampler::Create(const ConflictGraph* graph,
   CHECK(graph != nullptr);
   RepairSampler sampler;
   sampler.graph_ = graph;
-  sampler.isolated_ = DynamicBitset(graph->vertex_count());
-  for (const std::vector<int>& component : graph->ConnectedComponents()) {
-    if (component.size() == 1) {
-      sampler.isolated_.Set(component[0]);
-      continue;
-    }
-    std::vector<DynamicBitset> choices =
-        ComponentMaximalIndependentSets(*graph, component);
-    if (choices.size() > per_component_limit) {
+  ComponentDecomposition decomposition(*graph);
+  sampler.isolated_ = decomposition.isolated();
+  const std::vector<GraphComponent>& components = decomposition.components();
+  for (size_t c = 0; c < components.size(); ++c) {
+    // Stop one set past the limit: refusing a huge component must not
+    // cost its whole enumeration.
+    std::vector<DynamicBitset> choices;
+    MisEngine engine(components[c].graph);
+    bool complete = engine.Enumerate([&](const DynamicBitset& local) {
+      if (choices.size() == per_component_limit) return false;
+      choices.emplace_back(graph->vertex_count());
+      decomposition.Scatter(static_cast<int>(c), local, choices.back());
+      return true;
+    });
+    if (!complete) {
       return Status::ResourceExhausted(
-          "component with " + std::to_string(choices.size()) +
+          "component with more than " + std::to_string(per_component_limit) +
           " repairs exceeds the sampling limit");
     }
     sampler.component_choices_.push_back(std::move(choices));

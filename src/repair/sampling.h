@@ -29,7 +29,8 @@ class RepairSampler {
  public:
   // Materializes each component's repair list; fails with
   // kResourceExhausted if some component has more than
-  // `per_component_limit` maximal independent sets.
+  // `per_component_limit` maximal independent sets (its search stops at
+  // the first set past the limit).
   static Result<RepairSampler> Create(const ConflictGraph* graph,
                                       size_t per_component_limit = 1u << 16);
 

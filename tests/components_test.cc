@@ -100,7 +100,7 @@ SetOfSets EnumeratedFamily(const ConflictGraph& g, const Priority& p,
                            RepairFamily family) {
   SetOfSets out;
   bool complete = EnumeratePreferredRepairs(
-      g, p, family, [&out](const DynamicBitset& r) {
+      g, p, family, {}, [&out](const DynamicBitset& r) {
         EXPECT_TRUE(out.insert(r.ToVector()).second)
             << "duplicate repair " << r.ToString();
         return true;
@@ -224,7 +224,7 @@ TEST(ComponentProductEnumeratorTest, EarlyStopShortCircuits) {
   ASSERT_EQ(d.components().size(), 3u);
   std::vector<std::vector<DynamicBitset>> choices;
   for (const GraphComponent& c : d.components()) {
-    auto repairs = AllMaximalIndependentSets(c.graph);
+    auto repairs = PreferredRepairs(c.graph, Priority(), RepairFamily::kAll);
     ASSERT_TRUE(repairs.ok());
     ASSERT_EQ(repairs->size(), 3u);
     choices.push_back(*std::move(repairs));
@@ -269,7 +269,7 @@ TEST(ComponentProductEnumeratorTest, DisjointBoxesPartitionTheProduct) {
   ComponentDecomposition d(g);
   std::vector<std::vector<DynamicBitset>> choices;
   for (const GraphComponent& c : d.components()) {
-    auto repairs = AllMaximalIndependentSets(c.graph);
+    auto repairs = PreferredRepairs(c.graph, Priority(), RepairFamily::kAll);
     ASSERT_TRUE(repairs.ok());
     choices.push_back(*std::move(repairs));
   }
@@ -359,7 +359,7 @@ TEST(ComponentsTest, EarlyStopPropagatesThroughFamilies) {
   for (RepairFamily family : kAllFamilies) {
     int seen = 0;
     bool complete = EnumeratePreferredRepairs(
-        problem->graph(), empty, family,
+        problem->graph(), empty, family, {},
         [&seen](const DynamicBitset&) { return ++seen < 7; });
     EXPECT_FALSE(complete) << RepairFamilyName(family);
     EXPECT_EQ(seen, 7) << RepairFamilyName(family);

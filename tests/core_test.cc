@@ -485,7 +485,7 @@ TEST(FamiliesTest, EnumerationShortCircuits) {
   Priority empty = Priority::Empty(problem->graph());
   int seen = 0;
   bool complete = EnumeratePreferredRepairs(
-      problem->graph(), empty, RepairFamily::kLocal,
+      problem->graph(), empty, RepairFamily::kLocal, {},
       [&seen](const DynamicBitset&) { return ++seen < 5; });
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 5);
@@ -500,7 +500,7 @@ TEST(FamiliesTest, GlobalEnumerationShortCircuits) {
   Priority empty = Priority::Empty(problem->graph());
   int seen = 0;
   bool complete = EnumeratePreferredRepairs(
-      problem->graph(), empty, RepairFamily::kGlobal,
+      problem->graph(), empty, RepairFamily::kGlobal, {},
       [&seen](const DynamicBitset&) { return ++seen < 3; });
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 3);

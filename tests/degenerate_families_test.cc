@@ -39,10 +39,11 @@ std::set<DynamicBitset> Example6Family(const ConflictGraph& graph,
     out.insert(CleanDatabaseTotal(graph, priority));
     return out;
   }
-  EnumerateMaximalIndependentSets(graph, [&](const DynamicBitset& r) {
-    out.insert(r);
-    return true;
-  });
+  EnumeratePreferredRepairs(graph, Priority(), RepairFamily::kAll, {},
+                            [&](const DynamicBitset& r) {
+                              out.insert(r);
+                              return true;
+                            });
   return out;
 }
 

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
+#include "base/eval_options.h"
 #include "base/random.h"
+#include "core/families.h"
+#include "graph/components.h"
 #include "graph/conflict_graph.h"
 #include "graph/digraph.h"
 #include "graph/mis.h"
@@ -26,9 +30,16 @@ ConflictGraph Cycle(int n) {
   return ConflictGraph(n, edges);
 }
 
+// The repair space is the Rep family of core/families.h.
+bool EnumerateMis(const ConflictGraph& g,
+                  const std::function<bool(const DynamicBitset&)>& callback) {
+  return EnumeratePreferredRepairs(g, Priority(), RepairFamily::kAll, {},
+                                   callback);
+}
+
 std::set<std::vector<int>> MisSets(const ConflictGraph& g) {
   std::set<std::vector<int>> out;
-  EnumerateMaximalIndependentSets(g, [&](const DynamicBitset& s) {
+  EnumerateMis(g, [&](const DynamicBitset& s) {
     out.insert(s.ToVector());
     return true;
   });
@@ -296,7 +307,7 @@ TEST(MisTest, DisjointEdgesGiveTwoToTheN) {
 
 TEST(MisTest, EveryEnumeratedSetIsMaximal) {
   ConflictGraph g = Cycle(7);
-  EnumerateMaximalIndependentSets(g, [&](const DynamicBitset& s) {
+  EnumerateMis(g, [&](const DynamicBitset& s) {
     EXPECT_TRUE(g.IsMaximalIndependent(s));
     return true;
   });
@@ -305,20 +316,25 @@ TEST(MisTest, EveryEnumeratedSetIsMaximal) {
 TEST(MisTest, EarlyStopReturnsFalse) {
   ConflictGraph g = Path(6);
   int seen = 0;
-  bool complete = EnumerateMaximalIndependentSets(
-      g, [&seen](const DynamicBitset&) { return ++seen < 2; });
+  bool complete =
+      EnumerateMis(g, [&seen](const DynamicBitset&) { return ++seen < 2; });
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 2);
 }
 
-TEST(MisTest, AllMaximalIndependentSetsRespectsLimit) {
+TEST(MisTest, RepListRespectsLimit) {
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < 6; ++i) edges.emplace_back(2 * i, 2 * i + 1);
   ConflictGraph g(12, edges);  // 64 MIS
-  auto limited = AllMaximalIndependentSets(g, 10);
+  auto listed = [&g](size_t limit) {
+    EvalOptions options;
+    options.limits.max_repair_list = limit;
+    return PreferredRepairs(g, Priority(), RepairFamily::kAll, options);
+  };
+  auto limited = listed(10);
   EXPECT_FALSE(limited.ok());
   EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
-  auto all = AllMaximalIndependentSets(g, 100);
+  auto all = listed(100);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 64u);
 }
@@ -327,7 +343,13 @@ TEST(MisTest, ComponentEnumerationMatchesWholeGraphOnConnected) {
   ConflictGraph g = Cycle(6);
   auto comp = g.ConnectedComponents();
   ASSERT_EQ(comp.size(), 1u);
-  EXPECT_EQ(ComponentMaximalIndependentSets(g, comp[0]).size(), 5u);
+  ConflictGraph component = InducedSubgraph(g, comp[0]);
+  int count = 0;
+  EXPECT_TRUE(MisEngine(component).Enumerate([&count](const DynamicBitset&) {
+    ++count;
+    return true;
+  }));
+  EXPECT_EQ(count, 5);
 }
 
 TEST(MisTest, CountUsesComponentProduct) {

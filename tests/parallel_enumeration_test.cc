@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/exec_context.h"
 #include "base/random.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
@@ -114,16 +115,47 @@ TEST(ParallelEnumerationTest, MisEnumerationMatchesSerial) {
       sizes.push_back(static_cast<int>(rng.UniformRange(1, 7)));
     }
     ConflictGraph graph = MakeComponentPathsGraph(rng, sizes);
-    auto serial = AllMaximalIndependentSets(graph);
+    auto serial = PreferredRepairs(graph, Priority(), RepairFamily::kAll);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(BigUint(serial->size()).ToString(),
               CountMaximalIndependentSets(graph).ToString());
     for (int threads : kThreadCounts) {
+      EvalOptions options;
+      options.threads = threads;
       auto parallel =
-          AllMaximalIndependentSets(graph, ParallelOptions{threads});
+          PreferredRepairs(graph, Priority(), RepairFamily::kAll, options);
       ASSERT_TRUE(parallel.ok());
       EXPECT_EQ(*parallel, *serial) << "trial " << trial << " threads "
                                     << threads;
+    }
+  }
+  // Rep reads no priority: a default-constructed Priority yields exactly
+  // the sequence Priority::Empty does, on every graph shape — serially, at
+  // threads = 4, and under a 1-byte budget (the streaming fallback).
+  const ConflictGraph shapes[] = {
+      MakeComponentPathsGraph(rng, {7}),           // connected
+      MakeComponentPathsGraph(rng, {1, 1, 1}),     // isolated tuples only
+      MakeComponentPathsGraph(rng, {1, 6, 1}),     // one component
+      MakeComponentPathsGraph(rng, {3, 1, 4, 5}),  // many components
+  };
+  ExecutionLimits tiny;
+  tiny.component_list_budget_bytes = 1;
+  for (const ConflictGraph& graph : shapes) {
+    Priority empty = Priority::Empty(graph);
+    for (int mode = 0; mode < 3; ++mode) {
+      ExecutionContext context(tiny);
+      ParallelOptions options{mode == 1 ? 4 : 1};
+      if (mode == 2) options.context = &context;
+      EnumerationRun with_default =
+          RunFamily(graph, Priority(), RepairFamily::kAll, options);
+      EnumerationRun with_empty =
+          RunFamily(graph, empty, RepairFamily::kAll, options);
+      EXPECT_TRUE(with_default.complete);
+      EXPECT_EQ(with_default.complete, with_empty.complete);
+      EXPECT_EQ(with_default.sequence, with_empty.sequence)
+          << graph.vertex_count() << " vertices, mode " << mode;
+      EXPECT_EQ(BigUint(with_default.sequence.size()).ToString(),
+                CountMaximalIndependentSets(graph).ToString());
     }
   }
 }

@@ -335,7 +335,7 @@ TEST(PreparedEvalEquivalence, PlannedConsistentAnswerMatchesReferenceLoop) {
 
       bool seen_true = false;
       bool seen_false = false;
-      EnumeratePreferredRepairs(problem->graph(), priority, family,
+      EnumeratePreferredRepairs(problem->graph(), priority, family, {},
                                 [&](const DynamicBitset& repair) {
                                   auto holds =
                                       EvalClosed(*instance.db, &repair, *query);

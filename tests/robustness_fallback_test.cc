@@ -107,42 +107,72 @@ TEST(RobustnessFallbackTest, ForcedTier1SurfacesClampedExhaustionInstead) {
 
 TEST(RobustnessFallbackTest, TinyByteBudgetFallsBackToStreamingSameSet) {
   Rng rng(3);
-  ConflictGraph graph = MakeComponentPathsGraph(rng, {4, 4, 4});
-  Priority priority = RandomRankingPriority(rng, graph, 0.5);
-  for (RepairFamily family : kAllFamilies) {
-    auto reference = PreferredRepairs(graph, priority, family);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  // Several components (the product path), one connected graph and one
+  // component plus isolated tuples (the in-place paths): every shape and
+  // family must stream under the tiny budget and keep the repair set.
+  for (const std::vector<int>& sizes :
+       {std::vector<int>{4, 4, 4}, std::vector<int>{7},
+        std::vector<int>{1, 6, 1, 1}}) {
+    ConflictGraph graph = MakeComponentPathsGraph(rng, sizes);
+    Priority priority = RandomRankingPriority(rng, graph, 0.5);
+    for (RepairFamily family : kAllFamilies) {
+      auto reference = PreferredRepairs(graph, priority, family);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    ExecutionLimits limits;
-    limits.component_list_budget_bytes = 1;  // nothing fits
-    ExecutionContext context(limits);
-    EvalOptions options;
-    options.context = &context;
-    uint64_t fallback_hits_before = 0;
-    std::unique_ptr<failpoint::ScopedFailpoint> fp;
-    if (failpoint::kEnabled) {
-      fp = std::make_unique<failpoint::ScopedFailpoint>(
-          "families.streaming_fallback", [] {});
-      fallback_hits_before = fp->hit_count();
+      ExecutionLimits limits;
+      limits.component_list_budget_bytes = 1;  // nothing fits
+      ExecutionContext context(limits);
+      EvalOptions options;
+      options.context = &context;
+      uint64_t fallback_hits_before = 0;
+      std::unique_ptr<failpoint::ScopedFailpoint> fp;
+      if (failpoint::kEnabled) {
+        fp = std::make_unique<failpoint::ScopedFailpoint>(
+            "families.streaming_fallback", [] {});
+        fallback_hits_before = fp->hit_count();
+      }
+      auto squeezed = PreferredRepairs(graph, priority, family, options);
+      ASSERT_TRUE(squeezed.ok()) << squeezed.status().ToString();
+      if (fp != nullptr) {
+        EXPECT_GT(fp->hit_count(), fallback_hits_before)
+            << RepairFamilyName(family)
+            << ": expected the whole-graph streaming fallback to run";
+      }
+      // The fallback emits in a different order than the product; the
+      // repair *set* is the contract.
+      std::vector<DynamicBitset> lhs = *squeezed;
+      std::vector<DynamicBitset> rhs = *reference;
+      auto by_bits = [](const DynamicBitset& a, const DynamicBitset& b) {
+        return a.ToVector() < b.ToVector();
+      };
+      std::sort(lhs.begin(), lhs.end(), by_bits);
+      std::sort(rhs.begin(), rhs.end(), by_bits);
+      EXPECT_EQ(lhs, rhs) << RepairFamilyName(family);
     }
-    auto squeezed = PreferredRepairs(graph, priority, family, options);
-    ASSERT_TRUE(squeezed.ok()) << squeezed.status().ToString();
-    if (fp != nullptr) {
-      EXPECT_GT(fp->hit_count(), fallback_hits_before)
-          << RepairFamilyName(family)
-          << ": expected the whole-graph streaming fallback to run";
-    }
-    // The fallback emits in a different order than the product; the
-    // repair *set* is the contract.
-    std::vector<DynamicBitset> lhs = *squeezed;
-    std::vector<DynamicBitset> rhs = *reference;
-    auto by_bits = [](const DynamicBitset& a, const DynamicBitset& b) {
-      return a.ToVector() < b.ToVector();
-    };
-    std::sort(lhs.begin(), lhs.end(), by_bits);
-    std::sort(rhs.begin(), rhs.end(), by_bits);
-    EXPECT_EQ(lhs, rhs) << RepairFamilyName(family);
   }
+}
+
+TEST(RobustnessFallbackTest, ConnectedGlobalStreamingHonorsDeadline) {
+  // A connected 54-vertex path under a 1-byte budget: G-Rep cannot list
+  // the graph's repairs, so every repair is certified by a streaming
+  // witness search over millions of repairs. The certificate must poll
+  // the caller's deadline like the outer loop does.
+  std::vector<std::pair<int, int>> edges;
+  for (int v = 0; v + 1 < 54; ++v) edges.emplace_back(v, v + 1);
+  ConflictGraph graph(54, edges);
+  Rng rng(7);
+  Priority priority = RandomRankingPriority(rng, graph, 0.3);
+  EvalOptions options;
+  options.limits.component_list_budget_bytes = 1;
+  options.deadline = std::chrono::milliseconds(20);
+  auto start = std::chrono::steady_clock::now();
+  auto result =
+      PreferredRepairs(graph, priority, RepairFamily::kGlobal, options);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(400));
 }
 
 TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {

@@ -106,6 +106,13 @@ TEST(SamplingTest, LimitGuardsAgainstHugeComponents) {
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
   auto allowed = RepairSampler::Create(&problem->graph(), 64);
   EXPECT_TRUE(allowed.ok());
+  // A 100-vertex path has ~10^12 repairs; Create must refuse it without
+  // enumerating them.
+  Rng rng(16);
+  ConflictGraph path = MakeComponentPathsGraph(rng, {100});
+  auto huge = RepairSampler::Create(&path, 16);
+  EXPECT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(SamplingTest, GreedySamplerCoversEveryRepairOfSmallSpaces) {

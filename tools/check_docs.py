@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI `docs` job).
 
-Two guarantees, so the docs cannot silently rot as the tree grows:
+Three guarantees, so the docs cannot silently rot as the tree grows:
 
   1. Every intra-repository markdown link resolves: for each `[text](target)`
      in a tracked *.md file whose target is not an external URL or a pure
@@ -9,6 +9,10 @@ Two guarantees, so the docs cannot silently rot as the tree grows:
   2. docs/ARCHITECTURE.md stays complete: every module directory under src/
      must be mentioned (as `src/<module>/`), so adding a module without
      documenting it fails CI.
+  3. The docs name no deleted API: every CamelCase identifier inside an
+     inline code span of README.md or docs/*.md must occur as a word in the
+     code (src/, tests/, bench/, examples/, servebench/, tools/), a CMake
+     file or .github/.
 
 Stdlib only; exits non-zero with one line per violation.
 """
@@ -25,6 +29,18 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_DIRS = {".git", "build", "third_party", ".ccache"}
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+# Where a documented identifier may be defined or used (each directory's
+# own CMakeLists.txt included), besides the root CMakeLists.txt.
+CODE_DIRS = ("src", "tests", "bench", "examples", "servebench", "tools",
+             "cmake", ".github")
+
+FENCE_RE = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# CamelCase with two or more humps (MisEngine, RelWithDebInfo); kAll and
+# DNF do not match.
+CAMEL_RE = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+\b")
+WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def markdown_files(root: pathlib.Path):
@@ -71,6 +87,39 @@ def check_architecture_coverage(root: pathlib.Path) -> list:
     return errors
 
 
+def code_words(root: pathlib.Path) -> set:
+    files = [p for d in CODE_DIRS for p in sorted((root / d).rglob("*"))]
+    files.append(root / "CMakeLists.txt")
+    words = set()
+    for path in files:
+        if not path.is_file() or any(part in SKIP_DIRS for part in path.parts):
+            continue
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue  # binary artifact
+        words.update(WORD_RE.findall(text))
+    return words
+
+
+def check_documented_names(root: pathlib.Path) -> list:
+    words = code_words(root)
+    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    errors = []
+    for md in docs:
+        if not md.exists():
+            continue
+        text = FENCE_RE.sub("", md.read_text(encoding="utf-8"))
+        names = {name for span in CODE_SPAN_RE.findall(text)
+                 for name in CAMEL_RE.findall(span)}
+        for name in sorted(names - words):
+            errors.append(
+                f"{md.relative_to(root)}: `{name}` occurs nowhere in the"
+                " code, CMake or CI files"
+            )
+    return errors
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -81,7 +130,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    errors = check_links(args.root) + check_architecture_coverage(args.root)
+    errors = (check_links(args.root) + check_architecture_coverage(args.root)
+              + check_documented_names(args.root))
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
