@@ -96,8 +96,10 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 
 // Per-component family lists in their compact local universes, together
 // with the decomposition that defines them. The input of sharded
-// consumers: cqa.cc splits the product space across worker threads by
-// slicing one component's list (ComponentProductEnumerator::EnumerateSlice).
+// consumers: ForEachPreferredRepair (cqa/cqa.h) splits the product space
+// into disjoint boxes, each fixing or narrowing the index ranges of
+// several components' lists (ComponentProductEnumerator::EnumerateSlices),
+// and walks the boxes on worker threads.
 struct ComponentFamilyLists {
   ComponentDecomposition decomposition;
   std::vector<std::vector<DynamicBitset>> choices;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <new>
+#include <vector>
 
 #include "base/exec_context.h"
+#include "cqa/cqa.h"
 #include "graph/components.h"
 #include "graph/mis.h"
 
@@ -51,7 +53,9 @@ RepairAggregate AggregateOfRepair(const RepairProblem& problem,
                                   int attribute, AggregateFunction fn,
                                   DynamicBitset& rows) {
   int64_t count = 0;
-  int64_t sum = 0;
+  // A sum of int64 values can leave int64; the wider accumulator keeps
+  // every such sum exact until the final rounding to double.
+  __int128 sum = 0;
   int64_t min_v = std::numeric_limits<int64_t>::max();
   int64_t max_v = std::numeric_limits<int64_t>::min();
   // `rows` is caller-provided scratch: the repair enumeration loop calls
@@ -100,7 +104,6 @@ Result<AggregateRange> AggregateConsistentRange(
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
     const ParallelOptions& options) try {
-  ExecutionContext* context = options.context;
   PREFREP_ASSIGN_OR_RETURN(const Relation* rel,
                            problem.db().relation(relation));
   int attr = 0;
@@ -119,34 +122,37 @@ Result<AggregateRange> AggregateConsistentRange(
                            problem.db().RelationIndex(relation));
   DynamicBitset relation_mask = problem.db().RelationMask(rel_index);
 
-  AggregateRange range;
-  DynamicBitset rows_scratch(problem.graph().vertex_count());
-  EnumeratePreferredRepairs(
+  // Each walk worker folds its repairs into its own range; min/max (and
+  // the empty_possible OR) merge in any order, so the range is bit-for-bit
+  // the same at every thread count.
+  struct Partial {
+    AggregateRange range;
+    DynamicBitset rows;
+  };
+  std::vector<Partial> partials(
+      static_cast<size_t>(std::max(1, options.threads)),
+      Partial{{}, DynamicBitset(problem.graph().vertex_count())});
+  const auto fold = [](AggregateRange& into, bool defined, double lo,
+                       double hi) {
+    if (!defined) return;
+    into.lo = into.has_value ? std::min(into.lo, lo) : lo;
+    into.hi = into.has_value ? std::max(into.hi, hi) : hi;
+    into.has_value = true;
+  };
+  PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
       problem.graph(), priority, family, options,
-      [&](const DynamicBitset& repair) {
-        if (context != nullptr) {
-          if (context->ShouldStop()) return false;
-          context->stats().AddRepairsExamined();
-        }
+      [&](int worker, const DynamicBitset& repair) {
+        Partial& mine = partials[worker];
         RepairAggregate agg = AggregateOfRepair(problem, repair, relation_mask,
-                                                attr, fn, rows_scratch);
-        if (!agg.defined) {
-          range.empty_possible = true;
-          return true;
-        }
-        if (!range.has_value) {
-          range.has_value = true;
-          range.lo = range.hi = agg.value;
-        } else {
-          range.lo = std::min(range.lo, agg.value);
-          range.hi = std::max(range.hi, agg.value);
-        }
+                                                attr, fn, mine.rows);
+        mine.range.empty_possible |= !agg.defined;
+        fold(mine.range, agg.defined, agg.value, agg.value);
         return true;
-      });
-  // A range computed from a prefix of the repair space is not a range at
-  // all — surface the interrupt instead of a too-narrow [lo, hi].
-  if (context != nullptr && context->interrupted()) {
-    return context->StatusWithStats();
+      }));
+  AggregateRange range;
+  for (const Partial& partial : partials) {
+    range.empty_possible |= partial.range.empty_possible;
+    fold(range, partial.range.has_value, partial.range.lo, partial.range.hi);
   }
   return range;
 } catch (const std::bad_alloc&) {

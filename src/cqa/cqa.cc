@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -19,25 +20,21 @@ namespace prefrep {
 
 namespace {
 
-using DigitRange = ComponentProductEnumerator::DigitRange;
+using ShardBox = std::vector<ComponentProductEnumerator::DigitRange>;
 
-// A partition of the product space of per-component family lists into
-// disjoint boxes (ComponentProductEnumerator::EnumerateSlices tasks), a
-// few per worker so the work-stealing pool can rebalance uneven boxes.
-struct CqaShardPlan {
-  std::vector<std::vector<DigitRange>> chunks;
-};
-
-// Builds ~threads*4 chunks. One component's list rarely has enough
-// entries on its own (multi-component instances often have many small
-// lists but an astronomical product), so the planner works through the
-// components by descending list length: it fixes whole digits — taking
-// the cross product of their individual indices into the chunk set —
-// while that keeps the chunk count at or under the target, then splits
-// the next digit's range to make up the remainder. Chunk count stays
-// under 2x the target; every chunk is a non-empty box (no list here is
-// empty — callers return early for empty families).
-CqaShardPlan PlanCqaShards(
+// Partitions the product space of per-component family lists into
+// ~threads*4 disjoint boxes (ComponentProductEnumerator::EnumerateSlices
+// tasks), a few per worker so the work-stealing pool can rebalance
+// uneven boxes. One component's list rarely has enough entries on its
+// own (multi-component instances often have many small lists but an
+// astronomical product), so the planner works through the components by
+// descending list length: it fixes whole digits — taking the cross
+// product of their individual indices into the box set — while that
+// keeps the box count at or under the target, then splits the next
+// digit's range to make up the remainder. Box count stays under 2x the
+// target; every box is non-empty (no list here is empty — the walk
+// returns early for empty families).
+std::vector<ShardBox> PlanCqaShards(
     const std::vector<std::vector<DynamicBitset>>& choices, int threads) {
   const size_t target = static_cast<size_t>(threads) * size_t{4};
   std::vector<int> order(choices.size());
@@ -45,150 +42,48 @@ CqaShardPlan PlanCqaShards(
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return choices[a].size() > choices[b].size();
   });
-  CqaShardPlan plan;
-  plan.chunks.emplace_back();  // one chunk covering the whole product
+  std::vector<ShardBox> boxes(1);  // one box covering the whole product
   size_t count = 1;
   for (int digit : order) {
     const size_t length = choices[digit].size();
     if (count >= target || length <= 1) break;  // nothing more to gain
-    std::vector<std::vector<DigitRange>> expanded;
-    if (count * length <= target) {
-      // Fix this digit: every chunk splits into one chunk per index.
-      expanded.reserve(plan.chunks.size() * length);
-      for (const std::vector<DigitRange>& chunk : plan.chunks) {
-        for (size_t i = 0; i < length; ++i) {
-          expanded.push_back(chunk);
-          expanded.back().push_back({digit, i, i + 1});
-        }
+    // Fix this digit (one box per index) while that stays under the
+    // target; otherwise split its range just enough to reach it.
+    const size_t splits = count * length <= target
+                              ? length
+                              : std::min(length, (target + count - 1) / count);
+    std::vector<ShardBox> expanded;
+    expanded.reserve(boxes.size() * splits);
+    for (const ShardBox& box : boxes) {
+      for (size_t s = 0; s < splits; ++s) {
+        expanded.push_back(box);
+        expanded.back().push_back(
+            {digit, length * s / splits, length * (s + 1) / splits});
       }
-      count *= length;
-    } else {
-      // Last digit: split its range just enough to reach the target.
-      size_t splits = std::min(length, (target + count - 1) / count);
-      expanded.reserve(plan.chunks.size() * splits);
-      for (const std::vector<DigitRange>& chunk : plan.chunks) {
-        for (size_t s = 0; s < splits; ++s) {
-          expanded.push_back(chunk);
-          expanded.back().push_back(
-              {digit, length * s / splits, length * (s + 1) / splits});
-        }
-      }
-      count *= splits;
     }
-    plan.chunks = std::move(expanded);
+    count *= splits;
+    boxes = std::move(expanded);
   }
-  return plan;
+  return boxes;
 }
 
-// The enumeration driver a serial CQA loop runs on: either the standard
-// product-based EnumeratePreferredRepairs or, when the caller already
-// knows the component lists exceed the byte budget, the streaming
-// fallback (re-attempting the doomed materialization would run the
-// exponential core twice).
-using EnumerateRepairsFn = std::function<bool(
-    const std::function<bool(const DynamicBitset&)>& callback)>;
-
-// Runs `eval_repair(chunk, worker, repair)` over every repair of the
-// product, sharded across the caller's work-stealing pool; `abort` is
-// shared with the callbacks so any shard can stop the others (after a
-// worker error, or once the merged result can no longer change).
-// eval_repair returning false also raises `abort`. The callback always
-// runs with `worker` < pool.thread_count(), so callers index per-worker
-// state (compiled query copies) with it and per-chunk state (partial
-// results, Status slots) with `chunk`. Returns the pool's Status: non-OK
-// when a worker threw or `context` was interrupted (each enumerator also
-// polls the context per odometer tick).
-[[nodiscard]] Status ForEachRepairSharded(
-    const ComponentFamilyLists& lists, const CqaShardPlan& plan,
-    ThreadPool& pool, ExecutionContext* context, std::atomic<bool>* abort,
-    const std::function<bool(size_t chunk, int worker,
-                             const DynamicBitset& repair)>& eval_repair) {
-  return pool.ParallelFor(
-      plan.chunks.size(),
-      [&](size_t chunk, int worker) {
-        if (abort->load(std::memory_order_relaxed)) return;
-        ComponentProductEnumerator product(lists.decomposition, &lists.choices,
-                                           context);
-        product.EnumerateSlices(
-            plan.chunks[chunk],
-            [&](const DynamicBitset& repair) {
-              PREFREP_FAILPOINT("cqa.eval");
-              if (context != nullptr) context->stats().AddRepairsExamined();
-              if (!eval_repair(chunk, worker, repair)) {
-                abort->store(true, std::memory_order_relaxed);
-                return false;
-              }
-              return !abort->load(std::memory_order_relaxed);
-            });
-      },
-      context);
-}
-
-// Wraps a serial per-repair callback with the context's poll / stats /
-// failpoint instrumentation; without a context the callback runs bare (no
-// extra indirection on the ungoverned fast path).
-std::function<bool(const DynamicBitset&)> WrapSerialEval(
-    ExecutionContext* context,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  if (context == nullptr) return callback;
-  return [context, &callback](const DynamicBitset& repair) {
-    PREFREP_FAILPOINT("cqa.eval");
-    if (context->ShouldStop()) return false;
-    context->stats().AddRepairsExamined();
-    return callback(repair);
-  };
-}
-
-// Drops from `keep` every row not also in `other`. The serial loop, the
-// per-chunk partials and the chunk merge all intersect through this one
-// helper — their behavioral identity is what makes the sharded answer set
-// provably equal to the serial one.
+// Drops from `keep` every row not also in `other`. Each worker's running
+// intersection and the merge of the workers' partials both go through
+// this one helper, so the sharded answer set is provably the serial one.
 void IntersectInPlace(std::set<Tuple>* keep, const std::set<Tuple>& other) {
   for (auto it = keep->begin(); it != keep->end();) {
     it = other.contains(*it) ? std::next(it) : keep->erase(it);
   }
 }
 
-// The one orchestration point both CQA entry points share: picks the
-// sharded or serial loop for `options` and hands it the right enumeration
-// driver. threads > 1 materializes the per-component lists once (a single
-// pool serves both materialization and eval sharding) and dispatches to
-// `sharded(lists, pool)`; when the lists blow the byte budget it runs
-// `serial` over the streaming fallback — with O(depth) memory, instead of
-// re-running the materialization that just failed. Connected graphs take
-// the serial path at every thread count: there the serial enumerator
-// streams in place with early-stop, so materializing up front (the
-// sharded prerequisite) could cost unboundedly more than the verdict
-// needs — on multi-component graphs the serial path materializes the
-// very same per-component lists, so sharding adds no memory or
-// materialization the serial run wouldn't. threads <= 1, and instances
-// with no component to shard over (a single repair of isolated
-// vertices), also run `serial` over the standard enumerator.
-template <typename ShardedFn, typename SerialFn>
-auto RunCqa(const RepairProblem& problem, const Priority& priority,
-            RepairFamily family, const ParallelOptions& options,
-            const ShardedFn& sharded, const SerialFn& serial) {
-  ExecutionContext* context = options.context;
-  if (options.threads > 1 && !SpansOneComponent(problem.graph())) {
-    ThreadPool pool(options.threads);
-    std::optional<ComponentFamilyLists> lists = MaterializeComponentFamilyLists(
-        problem.graph(), priority, family, options, &pool);
-    if (!lists.has_value()) {
-      return serial([&](const std::function<bool(const DynamicBitset&)>& cb) {
-        return EnumeratePreferredRepairsStreaming(problem.graph(), priority,
-                                                  family,
-                                                  WrapSerialEval(context, cb),
-                                                  context);
-      });
-    }
-    if (!lists->choices.empty()) {
-      return sharded(*lists, pool);
-    }
-  }
-  return serial([&](const std::function<bool(const DynamicBitset&)>& cb) {
-    return EnumeratePreferredRepairs(problem.graph(), priority, family,
-                                     options, WrapSerialEval(context, cb));
-  });
+// One copy of the compiled query per walk worker; the last takes over
+// `prepared` itself, so a serial walk copies nothing.
+std::vector<PreparedQuery> WorkerQueries(PreparedQuery prepared,
+                                         const ParallelOptions& options) {
+  std::vector<PreparedQuery> queries(
+      static_cast<size_t>(std::max(1, options.threads)) - 1, prepared);
+  queries.push_back(std::move(prepared));
+  return queries;
 }
 
 }  // namespace
@@ -205,76 +100,80 @@ std::string_view CqaVerdictName(CqaVerdict verdict) {
   return "?";
 }
 
-namespace {
-
-// Sharded verdict: every worker evaluates its repair slices with a
-// private copy of the compiled query and reports which outcomes it saw
-// into one shared bit mask (bit 0: satisfying repair, bit 1: falsifying).
-// OR-ing outcome bits is commutative, so the merged mask — and therefore
-// the verdict — is exactly what the serial loop computes; once both bits
-// are set no further repair can change it and every shard stops.
-Result<CqaVerdict> ShardedConsistentAnswer(const ComponentFamilyLists& lists,
-                                           const PreparedQuery& prepared,
-                                           ThreadPool& pool,
-                                           ExecutionContext* context) {
-  for (const std::vector<DynamicBitset>& list : lists.choices) {
-    // An empty component list makes the family empty: vacuously true,
-    // matching the serial loop (whose callback never runs).
-    if (list.empty()) return CqaVerdict::kCertainlyTrue;
-  }
-  CqaShardPlan plan = PlanCqaShards(lists.choices, pool.thread_count());
-  std::vector<PreparedQuery> worker_query(pool.thread_count(), prepared);
-  std::vector<Status> chunk_status(plan.chunks.size(), Status::Ok());
-  std::atomic<uint32_t> seen_mask{0};
-  std::atomic<bool> abort{false};
-  Status pool_status = ForEachRepairSharded(
-      lists, plan, pool, context, &abort,
-      [&](size_t chunk, int worker, const DynamicBitset& repair) {
-        Result<bool> holds = worker_query[worker].EvalClosed(&repair);
-        if (!holds.ok()) {
-          chunk_status[chunk] = holds.status();
-          return false;
-        }
-        uint32_t bit = *holds ? 1u : 2u;
-        uint32_t mask =
-            seen_mask.fetch_or(bit, std::memory_order_relaxed) | bit;
-        return mask != 3u;  // stop every shard once both observed
-      });
-  for (const Status& status : chunk_status) {
-    PREFREP_RETURN_IF_ERROR(status);
-  }
-  PREFREP_RETURN_IF_ERROR(pool_status);
-  uint32_t mask = seen_mask.load(std::memory_order_relaxed);
-  if (mask == 3u) return CqaVerdict::kUndetermined;
-  if (mask == 2u) return CqaVerdict::kCertainlyFalse;
-  return CqaVerdict::kCertainlyTrue;
-}
-
-// The serial verdict loop, over whichever enumeration driver fits the
-// caller's situation (see EnumerateRepairsFn).
-Result<CqaVerdict> SerialConsistentAnswer(const PreparedQuery& prepared,
-                                          const EnumerateRepairsFn& enumerate) {
-  bool seen_true = false;
-  bool seen_false = false;
-  Status eval_error = Status::Ok();
-  enumerate([&](const DynamicBitset& repair) {
-    Result<bool> holds = prepared.EvalClosed(&repair);
-    if (!holds.ok()) {
-      eval_error = holds.status();
-      return false;
+Status ForEachPreferredRepair(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    const ParallelOptions& options,
+    const std::function<bool(int worker, const DynamicBitset& repair)>&
+        visit) {
+  ExecutionContext* context = options.context;
+  // A context interrupt truncates the walk silently (callbacks just return
+  // false); surface it so no caller mistakes a partial fold for a result.
+  const auto finish = [context](Status status) {
+    if (context != nullptr && context->interrupted()) {
+      return context->StatusWithStats();
     }
-    (*holds ? seen_true : seen_false) = true;
-    return !(seen_true && seen_false);  // stop once both observed
-  });
-  PREFREP_RETURN_IF_ERROR(eval_error);
-  if (seen_true && seen_false) return CqaVerdict::kUndetermined;
-  if (seen_false) return CqaVerdict::kCertainlyFalse;
-  // All repairs satisfy Q (or the family was empty, which P1-families
-  // never are; vacuously true then).
-  return CqaVerdict::kCertainlyTrue;
+    return status;
+  };
+  // Worker 0 on the calling thread. Without a context it runs bare: no
+  // poll, stats or failpoint on the ungoverned fast path.
+  const std::function<bool(const DynamicBitset&)> serial =
+      [&](const DynamicBitset& repair) {
+        if (context != nullptr) {
+          PREFREP_FAILPOINT("cqa.eval");
+          if (context->ShouldStop()) return false;
+          context->stats().AddRepairsExamined();
+        }
+        return visit(0, repair);
+      };
+  // A connected graph streams in place with early stop, so materializing
+  // its one list up front (the sharded prerequisite) could cost
+  // unboundedly more than the fold needs; isolated vertices alone form a
+  // single repair. On multi-component graphs the serial walk materializes
+  // the very same per-component lists, so sharding adds no memory or
+  // materialization the serial run would not.
+  if (options.threads <= 1 || SpansOneComponent(graph) ||
+      graph.edge_count() == 0) {
+    EnumeratePreferredRepairs(graph, priority, family, options, serial);
+    return finish(Status::Ok());
+  }
+  // One pool serves both the per-component materialization and the
+  // sharded product walk.
+  ThreadPool pool(options.threads);
+  std::optional<ComponentFamilyLists> lists = MaterializeComponentFamilyLists(
+      graph, priority, family, options, &pool);
+  if (!lists.has_value()) {
+    // Over the byte budget (or interrupted, which the stream re-polls):
+    // stream the whole graph with O(depth) memory rather than re-running
+    // the materialization that just failed.
+    EnumeratePreferredRepairsStreaming(graph, priority, family, serial,
+                                       context);
+    return finish(Status::Ok());
+  }
+  for (const std::vector<DynamicBitset>& list : lists->choices) {
+    if (list.empty()) return finish(Status::Ok());  // empty family
+  }
+  std::vector<ShardBox> boxes =
+      PlanCqaShards(lists->choices, pool.thread_count());
+  std::atomic<bool> stop{false};
+  Status walked = pool.ParallelFor(
+      boxes.size(),
+      [&](size_t box, int worker) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        ComponentProductEnumerator product(lists->decomposition,
+                                           &lists->choices, context);
+        product.EnumerateSlices(boxes[box], [&](const DynamicBitset& repair) {
+          PREFREP_FAILPOINT("cqa.eval");
+          if (context != nullptr) context->stats().AddRepairsExamined();
+          if (!visit(worker, repair)) {
+            stop.store(true, std::memory_order_relaxed);
+            return false;
+          }
+          return !stop.load(std::memory_order_relaxed);
+        });
+      },
+      context);
+  return finish(walked);
 }
-
-}  // namespace
 
 Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Priority& priority,
@@ -286,144 +185,92 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
         "consistent answers need a closed query (prepared query has free "
         "variables)");
   }
-  Result<CqaVerdict> verdict = RunCqa(
-      problem, priority, family, options,
-      [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
-        return ShardedConsistentAnswer(lists, prepared, pool, options.context);
-      },
-      [&](const EnumerateRepairsFn& enumerate) {
-        return SerialConsistentAnswer(prepared, enumerate);
-      });
-  // A context interrupt truncates the enumeration silently (callbacks just
-  // return false); surface it here so the caller never mistakes a partial
-  // verdict for a complete one.
-  if (options.context != nullptr && options.context->interrupted()) {
-    return options.context->StatusWithStats();
+  // Outcome bits (1: a satisfying repair, 2: a falsifying one) OR into one
+  // shared mask, so the verdict is independent of which worker saw what;
+  // once both are set no repair can change it and every worker stops.
+  std::vector<PreparedQuery> queries =
+      WorkerQueries(std::move(prepared), options);
+  std::vector<Status> errors(queries.size(), Status::Ok());
+  std::atomic<uint32_t> seen{0};
+  PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
+      problem.graph(), priority, family, options,
+      [&](int worker, const DynamicBitset& repair) {
+        Result<bool> holds = queries[worker].EvalClosed(&repair);
+        if (!holds.ok()) {
+          errors[worker] = holds.status();
+          return false;
+        }
+        const uint32_t bit = *holds ? 1u : 2u;
+        return (seen.fetch_or(bit, std::memory_order_relaxed) | bit) != 3u;
+      }));
+  for (const Status& error : errors) PREFREP_RETURN_IF_ERROR(error);
+  switch (seen.load(std::memory_order_relaxed)) {
+    case 3u:
+      return CqaVerdict::kUndetermined;
+    case 2u:
+      return CqaVerdict::kCertainlyFalse;
+    default:
+      // All repairs satisfy Q (or the family was empty, which
+      // P1-families never are; vacuously true then).
+      return CqaVerdict::kCertainlyTrue;
   }
-  return verdict;
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
-
-namespace {
-
-// Sharded open answers: every worker intersects the answer sets of the
-// repairs in its slices into a per-chunk partial set; set intersection is
-// commutative and associative, so intersecting the partials (in any
-// order) equals the serial running intersection. A chunk whose partial
-// empties proves the global intersection empty and stops the rest.
-Result<OpenAnswer> ShardedConsistentAnswers(const ComponentFamilyLists& lists,
-                                            const PreparedQuery& prepared,
-                                            ThreadPool& pool,
-                                            ExecutionContext* context) {
-  for (const std::vector<DynamicBitset>& list : lists.choices) {
-    // Empty family: no repair ever ran, matching the serial loop's empty
-    // OpenAnswer (variables included — they are set on the first repair).
-    if (list.empty()) return OpenAnswer{};
-  }
-  CqaShardPlan plan = PlanCqaShards(lists.choices, pool.thread_count());
-  std::vector<PreparedQuery> worker_query(pool.thread_count(), prepared);
-  std::vector<Status> chunk_status(plan.chunks.size(), Status::Ok());
-  struct ChunkPartial {
-    std::set<Tuple> rows;
-    bool any = false;
-  };
-  std::vector<ChunkPartial> partial(plan.chunks.size());
-  std::atomic<bool> emptied{false};
-  std::atomic<bool> abort{false};
-  Status pool_status = ForEachRepairSharded(
-      lists, plan, pool, context, &abort,
-      [&](size_t chunk, int worker, const DynamicBitset& repair) {
-        Result<OpenAnswer> answer = worker_query[worker].EvalOpen(&repair);
-        if (!answer.ok()) {
-          chunk_status[chunk] = answer.status();
-          return false;
-        }
-        ChunkPartial& mine = partial[chunk];
-        if (!mine.any) {
-          mine.rows.insert(answer->rows.begin(), answer->rows.end());
-          mine.any = true;
-        } else {
-          std::set<Tuple> here(answer->rows.begin(), answer->rows.end());
-          IntersectInPlace(&mine.rows, here);
-        }
-        if (mine.rows.empty()) {
-          emptied.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return true;
-      });
-  for (const Status& status : chunk_status) {
-    PREFREP_RETURN_IF_ERROR(status);
-  }
-  PREFREP_RETURN_IF_ERROR(pool_status);
-  OpenAnswer out;
-  out.variables = prepared.free_variables();
-  if (emptied.load(std::memory_order_relaxed)) return out;
-  // No shard emptied (and none aborted), so every chunk saw all of its
-  // repairs: the certain answers are the intersection of the partials.
-  std::set<Tuple> certain = std::move(partial[0].rows);
-  for (size_t chunk = 1; chunk < partial.size(); ++chunk) {
-    IntersectInPlace(&certain, partial[chunk].rows);
-  }
-  out.rows.assign(certain.begin(), certain.end());
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-// The serial open-answer loop, over whichever enumeration driver fits the
-// caller's situation (see EnumerateRepairsFn).
-Result<OpenAnswer> SerialConsistentAnswers(const PreparedQuery& prepared,
-                                           const EnumerateRepairsFn& enumerate) {
-  bool first = true;
-  std::set<Tuple> certain;
-  std::vector<std::string> variables;
-  Status eval_error = Status::Ok();
-  enumerate([&](const DynamicBitset& repair) {
-    Result<OpenAnswer> answer = prepared.EvalOpen(&repair);
-    if (!answer.ok()) {
-      eval_error = answer.status();
-      return false;
-    }
-    if (first) {
-      variables = answer->variables;
-      certain.insert(answer->rows.begin(), answer->rows.end());
-      first = false;
-    } else {
-      std::set<Tuple> here(answer->rows.begin(), answer->rows.end());
-      IntersectInPlace(&certain, here);
-    }
-    return !certain.empty() || first;  // nothing left to lose: stop
-  });
-  PREFREP_RETURN_IF_ERROR(eval_error);
-  OpenAnswer out;
-  out.variables = std::move(variables);
-  out.rows.assign(certain.begin(), certain.end());
-  return out;
-}
-
-}  // namespace
 
 Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                const Priority& priority,
                                                RepairFamily family,
                                                PreparedQuery prepared,
                                                ParallelOptions options) try {
-  Result<OpenAnswer> answers = RunCqa(
-      problem, priority, family, options,
-      [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
-        return ShardedConsistentAnswers(lists, prepared, pool, options.context);
-      },
-      [&](const EnumerateRepairsFn& enumerate) {
-        return SerialConsistentAnswers(prepared, enumerate);
-      });
-  if (options.context != nullptr && options.context->interrupted()) {
-    return options.context->StatusWithStats();
+  // Each worker intersects the answer sets of the repairs it visits; set
+  // intersection is commutative and associative, so intersecting the
+  // partials in any order equals the serial running intersection. A
+  // partial that empties proves the answer empty and stops the walk (the
+  // merge then comes out empty too).
+  struct Partial {
+    std::set<Tuple> rows;
+    bool any = false;
+  };
+  std::vector<PreparedQuery> queries =
+      WorkerQueries(std::move(prepared), options);
+  std::vector<Status> errors(queries.size(), Status::Ok());
+  std::vector<Partial> partials(queries.size());
+  PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
+      problem.graph(), priority, family, options,
+      [&](int worker, const DynamicBitset& repair) {
+        Result<OpenAnswer> answer = queries[worker].EvalOpen(&repair);
+        if (!answer.ok()) {
+          errors[worker] = answer.status();
+          return false;
+        }
+        Partial& mine = partials[worker];
+        if (!mine.any) {
+          mine.rows.insert(answer->rows.begin(), answer->rows.end());
+          mine.any = true;
+        } else {
+          IntersectInPlace(&mine.rows, std::set<Tuple>(answer->rows.begin(),
+                                                       answer->rows.end()));
+        }
+        return !mine.rows.empty();
+      }));
+  for (const Status& error : errors) PREFREP_RETURN_IF_ERROR(error);
+  // An empty family visits no repair: no rows and no variables.
+  OpenAnswer out;
+  std::optional<std::set<Tuple>> certain;
+  for (Partial& partial : partials) {
+    if (!partial.any) continue;
+    if (!certain.has_value()) {
+      certain = std::move(partial.rows);
+    } else {
+      IntersectInPlace(&*certain, partial.rows);
+    }
   }
-  return answers;
+  if (certain.has_value()) {
+    out.variables = queries[0].free_variables();
+    out.rows.assign(certain->begin(), certain->end());
+  }
+  return out;
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }

@@ -7,14 +7,19 @@
 //
 // This header holds the engines; the user-facing entry points are the
 // Planned* functions in cqa/planner.h, which pick between them per call.
-// The generic engine enumerates preferred repairs with two-sided
-// short-circuiting; for the family Rep and *ground quantifier-free*
-// queries, GroundConsistentAnswer implements the polynomial
-// conflict-graph algorithm (Chomicki–Marcinkowski; first row of Fig. 5).
+// The tier-2 engines are folds over X-Rep: the verdict ORs "holds /
+// fails", certain answers intersect per-repair answer sets, and aggregate
+// ranges (cqa/aggregation.h) take min/max. All three fold over one walk,
+// ForEachPreferredRepair, serial or sharded across the product of
+// per-component family lists. For the family Rep and *ground
+// quantifier-free* queries, GroundConsistentAnswer implements the
+// polynomial conflict-graph algorithm (Chomicki–Marcinkowski; first row
+// of Fig. 5).
 
 #ifndef PREFREP_CQA_CQA_H_
 #define PREFREP_CQA_CQA_H_
 
+#include <functional>
 #include <string_view>
 
 #include "base/status.h"
@@ -37,22 +42,37 @@ enum class CqaVerdict {
 
 std::string_view CqaVerdictName(CqaVerdict verdict);
 
-// The tier-2 engine, planner-free: evaluates the closed compiled query in
-// every preferred repair (enumeration stops as soon as both a satisfying
-// and a falsifying repair have been seen). The planner's enumeration tier
-// and, through a forced kEnumeration, the reference side of the
-// differential tests. `prepared` must have been compiled against
-// problem.db(); it is taken by value because evaluation reuses its
-// internal scratch, so a caller sharing one cached master across
-// concurrent calls passes it as an lvalue and each call works on a copy.
+// The tier-2 walk: calls visit(worker, repair) once per repair of the
+// family, with worker < max(1, options.threads) so callers size
+// per-worker fold state up front. visit returning false stops every
+// worker. threads <= 1, a connected graph and a graph of isolated
+// vertices alone run EnumeratePreferredRepairs on the calling thread as
+// worker 0. Otherwise one ThreadPool materializes the per-component
+// family lists (core/families.h) and then walks disjoint boxes of their
+// product concurrently; lists over the byte budget fall back to
+// whole-graph streaming on worker 0, and an empty list (empty family)
+// visits nothing. Folds whose merge is commutative therefore give the
+// serial result at every thread count.
 //
-// options.threads > 1 shards the work two ways: per-component family
-// lists are materialized by parallel workers (core/families.h), then the
-// repair product is split into slices evaluated concurrently, each worker
-// holding a private copy of the compiled query. Per-shard partial
-// verdicts ("saw a satisfying / falsifying repair") merge by a
-// commutative OR, so the verdict is identical to the serial result; a
-// shared flag stops every shard once both outcomes have been observed.
+// Returns OK when the walk completed or visit stopped it; the context's
+// latched kCancelled / kDeadlineExceeded / failure status when it was
+// interrupted (the fold then saw only a prefix and must be discarded); a
+// worker throw as the pool's Status (bad_alloc -> kResourceExhausted).
+// A throw on the serial branch propagates to the caller.
+[[nodiscard]] Status ForEachPreferredRepair(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    const ParallelOptions& options,
+    const std::function<bool(int worker, const DynamicBitset& repair)>& visit);
+
+// The tier-2 verdict engine, planner-free: evaluates the closed compiled
+// query in every preferred repair, each walk worker on a private copy;
+// the walk stops as soon as both a satisfying and a falsifying repair
+// have been seen (one shared outcome mask, merged by OR). The planner's
+// enumeration tier and, through a forced kEnumeration, the reference
+// side of the differential tests. `prepared` must have been compiled
+// against problem.db(); it is taken by value because evaluation reuses
+// its internal scratch, so a caller sharing one cached master across
+// concurrent calls passes it as an lvalue and each call works on a copy.
 Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Priority& priority,
                                               RepairFamily family,
@@ -60,14 +80,10 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               ParallelOptions options = {});
 
 // Tier-2 engine for open queries, planner-free; same contract for
-// `prepared`.
-//
-// options.threads > 1 shards exactly like EnumeratedConsistentAnswer;
-// each worker intersects the answer sets of its repair slice and the
-// per-shard partial intersections combine by the same commutative set
-// intersection, so the answer set is identical to the serial result. A
-// shard whose partial intersection empties proves the global answer
-// empty and stops the others.
+// `prepared`. Each walk worker intersects the answer sets of the repairs
+// it visits; the partials merge by the same intersection, so the answer
+// set is the serial one. A worker whose partial empties proves the
+// answer empty and stops the walk.
 Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                const Priority& priority,
                                                RepairFamily family,

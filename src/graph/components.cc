@@ -264,12 +264,6 @@ bool ComponentProductEnumerator::EnumerateSlices(
   }
 }
 
-bool ComponentProductEnumerator::EnumerateSlice(
-    int c, size_t begin, size_t end,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumerateSlices({{c, begin, end}}, callback);
-}
-
 BigUint ComponentProductEnumerator::Count() const {
   BigUint total = BigUint::One();
   for (const std::vector<DynamicBitset>& options : *choices_) {

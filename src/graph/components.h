@@ -10,7 +10,9 @@
 // optimality certificates all shrink to component size — materializes
 // the per-component lists under a byte budget (MaterializeComponentLists)
 // and recombines them lazily with a cross-product odometer
-// (ComponentProductEnumerator).
+// (ComponentProductEnumerator). The same product, cut into boxes
+// (EnumerateSlices), is what the sharded CQA walk distributes across
+// workers (ForEachPreferredRepair, cqa/cqa.h).
 
 #ifndef PREFREP_GRAPH_COMPONENTS_H_
 #define PREFREP_GRAPH_COMPONENTS_H_
@@ -179,15 +181,12 @@ class ComponentProductEnumerator {
   // Enumerates the box of the product where each constrained component
   // ranges over its DigitRange and every unconstrained component over its
   // full list (`ranges` may name each digit at most once). Boxes that
-  // partition the full box partition the product — this is how cqa.cc
-  // shards the per-repair evaluation loop across workers. Any empty range
+  // partition the full box partition the product — this is how the
+  // tier-2 walk (ForEachPreferredRepair, cqa/cqa.h) shards verdicts,
+  // certain answers and aggregate ranges across workers. Any empty range
   // makes the box a vacuously complete empty slice.
   bool EnumerateSlices(const std::vector<DigitRange>& ranges,
                        const std::function<bool(const DynamicBitset&)>& callback);
-
-  // Single-digit convenience form of EnumerateSlices.
-  bool EnumerateSlice(int c, size_t begin, size_t end,
-                      const std::function<bool(const DynamicBitset&)>& callback);
 
   // Exact product size in BigUint arithmetic.
   [[nodiscard]] BigUint Count() const;
@@ -206,7 +205,7 @@ class ComponentProductEnumerator {
 // overflow or interrupt; it must be safe to run concurrently for distinct
 // c (engines constructed inside a produce call are per-task and therefore
 // confined to one thread). Pass `pool` to reuse a caller-owned ThreadPool
-// (cqa.cc shares one pool between materialization and eval sharding);
+// (the CQA walk shares one pool between materialization and sharding);
 // with nullptr a pool is created on demand.
 //
 // The arbiter's limit comes from options.context when set (its stats also

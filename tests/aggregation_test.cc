@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "cleaning/cleaning.h"
 #include "cqa/aggregation.h"
 #include "cqa/planner.h"
@@ -159,6 +163,37 @@ TEST(AggregationTest, MgrSalaryRanges) {
   EXPECT_DOUBLE_EQ(rep_max->hi, 40000);
   EXPECT_DOUBLE_EQ(g_max->lo, 20000);
   EXPECT_DOUBLE_EQ(g_max->hi, 40000);
+}
+
+TEST(AggregationTest, SumAndAvgDoNotOverflowInt64) {
+  // INT64_MAX + 1 leaves int64: SUM is 2^63 and AVG 2^62, both exact in a
+  // double. A 64-bit accumulator overflowed here (undefined behaviour,
+  // observed as [-2^63, -2^63]).
+  Database db;
+  auto schema = Schema::Create("R", {Attribute{"K", ValueType::kNumber},
+                                     Attribute{"V", ValueType::kNumber}});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db.AddRelation(*schema).ok());
+  ASSERT_TRUE(db.Insert("R", Tuple::Of(Value::Number(0),
+                                       Value::Number(
+                                           std::numeric_limits<int64_t>::max())))
+                  .ok());
+  ASSERT_TRUE(db.Insert("R", Tuple::Of(Value::Number(1), Value::Number(1)))
+                  .ok());
+  auto problem = RepairProblem::Create(&db, {});
+  ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+  Priority empty = Priority::Empty(problem->graph());
+  const double two_63 = std::ldexp(1.0, 63);
+  AggregateRange sum =
+      MustRange(*problem, empty, RepairFamily::kAll, AggregateFunction::kSum);
+  EXPECT_TRUE(sum.has_value);
+  EXPECT_EQ(sum.lo, two_63);
+  EXPECT_EQ(sum.hi, two_63);
+  AggregateRange avg =
+      MustRange(*problem, empty, RepairFamily::kAll, AggregateFunction::kAvg);
+  EXPECT_TRUE(avg.has_value);
+  EXPECT_EQ(avg.lo, two_63 / 2);
+  EXPECT_EQ(avg.hi, two_63 / 2);
 }
 
 TEST(AggregationTest, CountStarRangePolynomialMatchesEnumeration) {

@@ -23,6 +23,7 @@
 #include "base/random.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
+#include "cqa/aggregation.h"
 #include "cqa/cqa.h"
 #include "cqa/planner.h"
 #include "query/parser.h"
@@ -131,9 +132,26 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
   Priority priority = RandomRankingPriority(rng, problem.graph(), 0.5);
   std::unique_ptr<Query> closed = MustParse("exists x . R(0, x, 1)");
   std::unique_ptr<Query> open = MustParse("R(0, v, w)");
+  // Its own stream, so the verdict and answer cuts draw what they did
+  // before aggregate cuts were added.
+  Rng aggregate_rng(271);
 
   for (RepairFamily family : kAllFamilies) {
     for (int threads : kThreadCounts) {
+      EvalOptions aggregate_options{.threads = threads,
+                                    .force_tier = CqaTier::kEnumeration};
+      auto ref_range =
+          PlannedAggregateRange(problem, priority, family, "R", "W",
+                                AggregateFunction::kSum, aggregate_options);
+      ASSERT_TRUE(ref_range.ok()) << ref_range.status().ToString();
+      ExecutionContext aggregate_clean;
+      aggregate_options.context = &aggregate_clean;
+      ASSERT_TRUE(PlannedAggregateRange(problem, priority, family, "R", "W",
+                                        AggregateFunction::kSum,
+                                        aggregate_options)
+                      .ok());
+      const uint64_t range_polls = aggregate_clean.poll_count();
+
       auto ref_verdict =
           PlannedConsistentAnswer(problem, priority, family, *closed,
                                   EvalOptions{.threads = threads});
@@ -173,6 +191,25 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
         } else {
           EXPECT_EQ(cut_rows.status().code(), StatusCode::kCancelled)
               << cut_rows.status().ToString();
+        }
+
+        // A range over a prefix of the repairs would be too narrow: the
+        // cut either completes with the reference range or is cancelled.
+        ExecutionContext range_context;
+        range_context.CancelAfterPolls(
+            aggregate_rng.UniformRange(1, range_polls + 5));
+        aggregate_options.context = &range_context;
+        auto cut_range =
+            PlannedAggregateRange(problem, priority, family, "R", "W",
+                                  AggregateFunction::kSum, aggregate_options);
+        if (cut_range.ok()) {
+          EXPECT_EQ(cut_range->has_value, ref_range->has_value);
+          EXPECT_EQ(cut_range->empty_possible, ref_range->empty_possible);
+          EXPECT_EQ(cut_range->lo, ref_range->lo) << RepairFamilyName(family);
+          EXPECT_EQ(cut_range->hi, ref_range->hi) << RepairFamilyName(family);
+        } else {
+          EXPECT_EQ(cut_range.status().code(), StatusCode::kCancelled)
+              << cut_range.status().ToString();
         }
 
         // Clean rerun after each interrupted attempt.

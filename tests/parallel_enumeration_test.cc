@@ -5,7 +5,8 @@
 // lists merge in component order and the product odometer runs on the
 // calling thread, so even emission order is pinned), the same CQA
 // verdicts and certain-answer sets for quantifier-free, conjunctive and
-// global queries, and the same early-stop / ResourceExhausted behavior.
+// global queries, the same aggregate ranges, and the same early-stop /
+// ResourceExhausted behavior.
 //
 // The *Stress* tests are additionally run many times under the TSan CI
 // job (--gtest_repeat) to shake out scheduling-dependent interleavings.
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "base/random.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
+#include "cqa/aggregation.h"
 #include "cqa/cqa.h"
 #include "cqa/planner.h"
 #include "graph/mis.h"
@@ -237,6 +240,50 @@ TEST(ParallelEnumerationTest, CqaOpenAnswersMatchSerialOnRandomInstances) {
   }
 }
 
+constexpr AggregateFunction kAggregateFunctions[] = {
+    AggregateFunction::kMin, AggregateFunction::kMax, AggregateFunction::kSum,
+    AggregateFunction::kCount, AggregateFunction::kAvg};
+
+// Forced enumeration: COUNT would otherwise plan the polynomial range.
+EvalOptions EnumerateOn(int threads) {
+  return EvalOptions{.threads = threads, .force_tier = CqaTier::kEnumeration};
+}
+
+void ExpectSameRange(const AggregateRange& parallel,
+                     const AggregateRange& serial, const std::string& what) {
+  EXPECT_EQ(parallel.has_value, serial.has_value) << what;
+  EXPECT_EQ(parallel.empty_possible, serial.empty_possible) << what;
+  EXPECT_EQ(parallel.lo, serial.lo) << what;
+  EXPECT_EQ(parallel.hi, serial.hi) << what;
+}
+
+TEST(ParallelEnumerationTest, AggregateRangesMatchSerialOnRandomInstances) {
+  Rng rng(161803);
+  for (int trial = 0; trial < 40; ++trial) {
+    GeneratedInstance inst = MakeComponentsInstance(
+        rng, static_cast<int>(rng.UniformRange(2, 4)), 1, 5);
+    RepairProblem problem = MustProblem(inst);
+    Priority priority = RandomPriority(rng, problem.graph(), trial);
+    for (RepairFamily family : kAllFamilies) {
+      for (AggregateFunction fn : kAggregateFunctions) {
+        auto serial = PlannedAggregateRange(problem, priority, family, "R",
+                                            "V", fn, EnumerateOn(1));
+        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+        for (int threads : kThreadCounts) {
+          auto parallel = PlannedAggregateRange(problem, priority, family, "R",
+                                                "V", fn, EnumerateOn(threads));
+          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+          ExpectSameRange(*parallel, *serial,
+                          std::string(RepairFamilyName(family)) + " " +
+                              std::string(AggregateFunctionName(fn)) +
+                              " trial " + std::to_string(trial) +
+                              " threads " + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelEnumerationTest, CqaOnConnectedInstanceMatchesSerial) {
   // A single-group instance has a connected conflict graph: threads > 1
   // must take the serial streaming path (materializing the one component's
@@ -314,7 +361,7 @@ TEST(ParallelEnumerationTest, LimitPropagatesAsResourceExhausted) {
 // Rerun many times under TSan in CI (--gtest_filter='*Stress*'
 // --gtest_repeat=N): a fixed seed with larger components and threads=8
 // maximizes cross-thread interleavings in materialization and in the
-// sharded CQA eval loop.
+// sharded CQA walk (verdicts, certain answers and aggregate ranges).
 TEST(ParallelEnumerationStressTest, StressShardedEnumerationAndCqa) {
   Rng rng(13);
   ConflictGraph graph = MakeComponentPathsGraph(rng, {8, 7, 9, 6, 8, 7});
@@ -351,6 +398,19 @@ TEST(ParallelEnumerationStressTest, StressShardedEnumerationAndCqa) {
     ASSERT_TRUE(parallel_rows.ok());
     EXPECT_EQ(parallel_rows->rows, serial_rows->rows)
         << RepairFamilyName(family);
+
+    for (AggregateFunction fn :
+         {AggregateFunction::kSum, AggregateFunction::kMin}) {
+      auto serial_range = PlannedAggregateRange(
+          problem, cqa_priority, family, "R", "W", fn, EnumerateOn(1));
+      auto parallel_range = PlannedAggregateRange(
+          problem, cqa_priority, family, "R", "W", fn, EnumerateOn(8));
+      ASSERT_TRUE(serial_range.ok());
+      ASSERT_TRUE(parallel_range.ok());
+      ExpectSameRange(*parallel_range, *serial_range,
+                      std::string(RepairFamilyName(family)) + " " +
+                          std::string(AggregateFunctionName(fn)));
+    }
   }
 }
 

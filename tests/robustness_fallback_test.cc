@@ -25,6 +25,7 @@
 #include "base/random.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
+#include "cqa/aggregation.h"
 #include "cqa/planner.h"
 #include "query/parser.h"
 #include "workload/generators.h"
@@ -177,8 +178,9 @@ TEST(RobustnessFallbackTest, ConnectedGlobalStreamingHonorsDeadline) {
 
 TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {
   // The full chain at threads = 4: sharded CQA wants materialized lists,
-  // the context's byte budget rejects them, RunCqa degrades to the
-  // serial streaming driver, and the verdict is unchanged.
+  // the context's byte budget rejects them, the walk degrades to
+  // whole-graph streaming on the calling thread, and the verdict is
+  // unchanged.
   Rng rng(4);
   GeneratedInstance inst = MakeComponentsInstance(rng, {4, 4, 3});
   RepairProblem problem = MustProblem(inst);
@@ -222,18 +224,31 @@ TEST(RobustnessFallbackTest, InjectedWorkerBadAllocSurfacesResourceExhausted) {
   RepairProblem problem = MustProblem(inst);
   Priority priority = Priority::Empty(problem.graph());
   auto query = MustParse("exists x, y . R(0, x, y)");
-  // Fire once, deep in the sharded eval loop (skip past the first few
-  // repairs so shards are genuinely mid-flight).
-  failpoint::ScopedFailpoint fp("cqa.eval", [] { throw std::bad_alloc(); },
-                                /*skip=*/3, /*limit=*/1);
   EvalOptions options;
   options.threads = 4;
   options.force_tier = CqaTier::kEnumeration;
-  auto result = PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
-                                        *query, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-      << result.status().ToString();
+  {
+    // Fire once, deep in the sharded walk (skip past the first few
+    // repairs so shards are genuinely mid-flight).
+    failpoint::ScopedFailpoint fp("cqa.eval", [] { throw std::bad_alloc(); },
+                                  /*skip=*/3, /*limit=*/1);
+    auto result = PlannedConsistentAnswer(problem, priority,
+                                          RepairFamily::kAll, *query, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status().ToString();
+  }
+  {
+    // Aggregate ranges fold over the same walk and fail the same way.
+    failpoint::ScopedFailpoint fp("cqa.eval", [] { throw std::bad_alloc(); },
+                                  /*skip=*/3, /*limit=*/1);
+    auto range = PlannedAggregateRange(problem, priority, RepairFamily::kAll,
+                                       "R", "V", AggregateFunction::kSum,
+                                       options);
+    ASSERT_FALSE(range.ok());
+    EXPECT_EQ(range.status().code(), StatusCode::kResourceExhausted)
+        << range.status().ToString();
+  }
 }
 
 TEST(RobustnessFallbackTest, InjectedWorkerThrowSurfacesInternal) {
