@@ -43,12 +43,14 @@
 namespace prefrep {
 
 // Per-context resource knobs. Defaults reproduce the historical constexpr
-// budgets exactly (kComponentListBudgetBytes, kDefaultDnfDisjunctBudget,
-// kDefaultDnfLiteralBudget, and the 2^20 PreferredRepairs / AllRepairs
-// list cap), so a default context changes no behavior.
+// budgets exactly (kDefaultDnfDisjunctBudget, kDefaultDnfLiteralBudget,
+// and the 2^20 PreferredRepairs / AllRepairs list cap), so a default
+// context changes no behavior.
 struct ExecutionLimits {
   // Bytes of materialized per-component repair lists admitted before the
-  // enumeration falls back to streaming (was graph/components.h's 256 MB).
+  // enumeration falls back to streaming. The walk in core/families.cc
+  // reads it from the context, or from a default ExecutionLimits when
+  // none is attached.
   size_t component_list_budget_bytes = size_t{256} << 20;
   // Ground/quantifier-free DNF expansion caps (was query/normal_form.h's
   // kDefaultDnfDisjunctBudget / kDefaultDnfLiteralBudget).

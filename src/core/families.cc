@@ -1,9 +1,11 @@
 #include "core/families.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -277,6 +279,32 @@ bool MaterializeComponentFamily(const ConflictGraph& graph,
   return StreamComponentFamily(graph, priority, family, collect, context);
 }
 
+// The byte budget of one enumeration call's materialized lists: the
+// context's limit (its stats also record the charges), else the default
+// ExecutionLimits'.
+ResourceArbiter ListArbiter(ExecutionContext* context) {
+  if (context == nullptr) {
+    return ResourceArbiter(ExecutionLimits{}.component_list_budget_bytes);
+  }
+  return ResourceArbiter(context->limits().component_list_budget_bytes,
+                         &context->stats());
+}
+
+// Whole-graph streaming with O(search depth) memory: the walk on a
+// connected graph or a single component, and its one fallback past the
+// byte budget, which does not re-run the materialization that failed (the
+// Debug failpoint marks every whole-graph stream). Emission order differs
+// from the product path; the set is equal.
+template <typename Callback>
+bool EnumeratePreferredRepairsStreaming(const ConflictGraph& graph,
+                                        const Priority& priority,
+                                        RepairFamily family,
+                                        Callback&& callback,
+                                        ExecutionContext* context) {
+  PREFREP_FAILPOINT("families.streaming_fallback");
+  return StreamComponentFamily(graph, priority, family, callback, context);
+}
+
 // Enumerates `family` on one graph — the whole (connected) conflict graph
 // or one component's compact subgraph — through `emit`. kGlobal first
 // materializes the graph's repair list and certifies against it; every
@@ -287,10 +315,7 @@ bool EnumerateFamilyOnGraph(const ConflictGraph& graph,
                             Emit&& emit, ExecutionContext* context) {
   if (family == RepairFamily::kGlobal) {
     std::vector<DynamicBitset> repairs;
-    ResourceArbiter arbiter(
-        context != nullptr ? context->limits().component_list_budget_bytes
-                           : kComponentListBudgetBytes,
-        context != nullptr ? &context->stats() : nullptr);
+    ResourceArbiter arbiter = ListArbiter(context);
     if (MaterializeComponentFamily(graph, priority, family, &repairs,
                                    &arbiter, context)) {
       for (const DynamicBitset& repair : repairs) {
@@ -318,23 +343,213 @@ std::vector<Priority> LocalPriorities(
   return ProjectPriorities(decomposition, priority);
 }
 
-// Materializes every component's family list into `lists` under the byte
-// budget; the status contract is MaterializeComponentLists'.
-Status MaterializeFamilyLists(const ComponentDecomposition& decomposition,
-                              const Priority& priority, RepairFamily family,
-                              const ParallelOptions& options,
-                              std::vector<std::vector<DynamicBitset>>* lists,
-                              ThreadPool* pool = nullptr) {
-  std::vector<Priority> local_priorities =
+// Materializes every component's family list into `lists` under one byte
+// budget: serially, or one task per component on `pool` when given. Every
+// engine a task constructs is local to it, so tasks run concurrently.
+// Returns OK when every list materialized; kResourceExhausted when a
+// component overflowed the budget (the caller streams instead); the
+// context's status when it was interrupted; the pool's status when a
+// task threw.
+Status MaterializeLists(const ComponentDecomposition& decomposition,
+                        const std::vector<Priority>& priorities,
+                        RepairFamily family, ExecutionContext* context,
+                        ThreadPool* pool,
+                        std::vector<std::vector<DynamicBitset>>* lists) {
+  const size_t count = decomposition.components().size();
+  lists->assign(count, {});
+  ResourceArbiter arbiter = ListArbiter(context);
+  std::atomic<bool> overflow{false};
+  const auto produce = [&](size_t c) {
+    if (overflow.load(std::memory_order_relaxed)) return;
+    if (!MaterializeComponentFamily(decomposition.components()[c].graph,
+                                    priorities[c], family, &(*lists)[c],
+                                    &arbiter, context)) {
+      overflow.store(true, std::memory_order_relaxed);
+    } else if (context != nullptr) {
+      context->stats().AddComponentsCompleted();
+    }
+  };
+  if (pool != nullptr) {
+    PREFREP_RETURN_IF_ERROR(pool->ParallelFor(
+        count, [&](size_t c, int /*worker*/) { produce(c); }, context));
+  } else {
+    for (size_t c = 0; c < count; ++c) {
+      if (context != nullptr && context->ShouldStop()) break;
+      produce(c);
+    }
+  }
+  if (context != nullptr && context->interrupted()) return context->status();
+  if (overflow.load(std::memory_order_relaxed)) {
+    return Status::ResourceExhausted("component list budget exhausted (" +
+                                     std::to_string(arbiter.limit()) +
+                                     " bytes)");
+  }
+  return Status::Ok();
+}
+
+using ShardBox = std::vector<ComponentProductEnumerator::DigitRange>;
+
+// Partitions the product space of per-component family lists into
+// ~workers*4 disjoint boxes (ComponentProductEnumerator::EnumerateSlices
+// tasks), a few per worker so the work-stealing pool can rebalance
+// uneven boxes. One component's list rarely has enough entries on its
+// own (multi-component instances often have many small lists but an
+// astronomical product), so the planner works through the components by
+// descending list length: it fixes whole digits — taking the cross
+// product of their individual indices into the box set — while that
+// keeps the box count at or under the target, then splits the next
+// digit's range to make up the remainder. Box count stays under 2x the
+// target.
+std::vector<ShardBox> PlanShards(
+    const std::vector<std::vector<DynamicBitset>>& choices, int workers) {
+  const size_t target = static_cast<size_t>(workers) * size_t{4};
+  std::vector<int> order(choices.size());
+  for (size_t c = 0; c < order.size(); ++c) order[c] = static_cast<int>(c);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return choices[a].size() > choices[b].size();
+  });
+  std::vector<ShardBox> boxes(1);  // one box covering the whole product
+  size_t count = 1;
+  for (int digit : order) {
+    const size_t length = choices[digit].size();
+    if (count >= target || length <= 1) break;  // nothing more to gain
+    // Fix this digit (one box per index) while that stays under the
+    // target; otherwise split its range just enough to reach it.
+    const size_t splits = count * length <= target
+                              ? length
+                              : std::min(length, (target + count - 1) / count);
+    std::vector<ShardBox> expanded;
+    expanded.reserve(boxes.size() * splits);
+    for (const ShardBox& box : boxes) {
+      for (size_t s = 0; s < splits; ++s) {
+        expanded.push_back(box);
+        expanded.back().push_back(
+            {digit, length * s / splits, length * (s + 1) / splits});
+      }
+    }
+    count *= splits;
+    boxes = std::move(expanded);
+  }
+  return boxes;
+}
+
+// The one walk over the family's component product, with `workers`
+// walkers. A set is a family member iff its restriction to each conflict
+// component is one there (for ≪-maximality a witness narrows to one
+// component; for C-Rep, Algorithm 1 choices in distinct components
+// commute). So the walk streams a connected graph or a single component
+// in place with early stop on the calling thread; otherwise it
+// materializes each component's list in its compact universe under the
+// byte budget (on one pool when options.threads > 1), streams the whole
+// graph past the budget, and walks the product: one box in odometer order
+// on the calling thread for one walker, PlanShards boxes on the pool
+// otherwise. Returns OK, the context's latched status after an interrupt,
+// or the pool's status after a worker throw.
+Status WalkPreferredRepairs(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    const ParallelOptions& options, int workers,
+    const std::function<bool(int worker, const DynamicBitset& repair)>&
+        visit) {
+  ExecutionContext* context = options.context;
+  // An interrupt truncates the walk silently (the engines just stop);
+  // surface it so no caller mistakes a partial fold for a result.
+  const auto finish = [context](Status status) {
+    if (context != nullptr && context->interrupted()) {
+      return context->StatusWithStats();
+    }
+    return status;
+  };
+  const auto on_caller = [&visit](const DynamicBitset& repair) {
+    return visit(0, repair);
+  };
+  if (SpansOneComponent(graph)) {
+    EnumerateFamilyOnGraph(graph, priority, family, on_caller, context);
+    return finish(Status::Ok());
+  }
+  ComponentDecomposition decomposition(graph);
+  const std::vector<GraphComponent>& components = decomposition.components();
+  if (components.empty()) {
+    visit(0, decomposition.isolated());
+    return finish(Status::Ok());
+  }
+  const std::vector<Priority> priorities =
       LocalPriorities(decomposition, priority, family);
-  return MaterializeComponentLists(
-      decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* out, ResourceArbiter* arbiter) {
-        return MaterializeComponentFamily(
-            decomposition.components()[c].graph, local_priorities[c], family,
-            out, arbiter, options.context);
+  if (components.size() == 1) {
+    DynamicBitset scratch = decomposition.isolated();
+    EnumerateFamilyOnGraph(
+        components[0].graph, priorities[0], family,
+        [&](const DynamicBitset& local) {
+          decomposition.Scatter(0, local, scratch);
+          return visit(0, scratch);
+        },
+        context);
+    return finish(Status::Ok());
+  }
+  // The pool serves materialization (sized to the component count when
+  // it is all the pool does) and, for several walkers, the boxes.
+  const int threads =
+      std::max(workers, EffectiveThreadCount(options, components.size()));
+  std::unique_ptr<ThreadPool> pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  std::vector<std::vector<DynamicBitset>> lists;
+  Status materialized = MaterializeLists(decomposition, priorities, family,
+                                         context, pool.get(), &lists);
+  if (materialized.code() == StatusCode::kResourceExhausted) {
+    lists = {};  // free before the fallback, when memory pressure peaks
+    if (context == nullptr || !context->interrupted()) {
+      EnumeratePreferredRepairsStreaming(graph, priority, family, on_caller,
+                                         context);
+    }
+    return finish(Status::Ok());
+  }
+  if (!materialized.ok()) return finish(materialized);
+  if (workers <= 1) {
+    ComponentProductEnumerator(decomposition, &lists, context)
+        .EnumerateSlices({}, on_caller);
+    return finish(Status::Ok());
+  }
+  const std::vector<ShardBox> boxes = PlanShards(lists, workers);
+  std::atomic<bool> stop{false};
+  return finish(pool->ParallelFor(
+      boxes.size(),
+      [&](size_t box, int worker) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        ComponentProductEnumerator(decomposition, &lists, context)
+            .EnumerateSlices(boxes[box], [&](const DynamicBitset& repair) {
+              if (!visit(worker, repair)) {
+                stop.store(true, std::memory_order_relaxed);
+                return false;
+              }
+              return !stop.load(std::memory_order_relaxed);
+            });
       },
-      lists, pool);
+      context));
+}
+
+// The priority the engines read for `family` on `graph`. Rep reads none.
+// Otherwise a priority without arcs means "no preferences" and is read as
+// Priority::Empty(graph) (kept in *empty); one with arcs must have been
+// built over `graph`, since the engines index it by vertex.
+Result<const Priority*> PriorityOnGraph(const ConflictGraph& graph,
+                                        const Priority& priority,
+                                        RepairFamily family,
+                                        std::optional<Priority>* empty) {
+  if (family == RepairFamily::kAll) return &priority;
+  bool on_graph = priority.vertex_count() == graph.vertex_count();
+  if (priority.arc_count() == 0) {
+    return on_graph ? &priority : &empty->emplace(Priority::Empty(graph));
+  }
+  for (const auto& [x, y] : priority.arcs()) {
+    if (!on_graph) break;
+    on_graph = graph.HasEdge(x, y);
+  }
+  if (!on_graph) {
+    return Status::InvalidArgument(
+        "priority over " + std::to_string(priority.vertex_count()) +
+        " tuples was not built over this conflict graph (" +
+        std::to_string(graph.vertex_count()) + " tuples)");
+  }
+  return &priority;
 }
 
 }  // namespace
@@ -376,68 +591,44 @@ bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
   return false;
 }
 
-// Every family notion decomposes over connected components: conflicts and
-// priorities both live on conflict edges, so a set is a family member iff
-// its restriction to each component is a family member of that component
-// (for ≪-maximality: a witness differing in some component yields a
-// component-local witness, and vice versa; for C-Rep: choice steps in
-// distinct components commute, so Algorithm 1 runs factor per component).
-// Each component is searched in its own compact universe — bitsets, memo
-// keys and certificates all shrink to component size — and the product is
-// streamed lazily so early-stop callbacks still short-circuit.
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback) {
+  bool complete = true;
+  Status walked = WalkPreferredRepairs(
+      graph, priority, family, options, /*workers=*/1,
+      [&](int /*worker*/, const DynamicBitset& repair) {
+        complete = callback(repair);
+        return complete;
+      });
+  return complete && walked.ok();
+}
+
+Status ForEachPreferredRepair(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    const ParallelOptions& options,
+    const std::function<bool(int worker, const DynamicBitset& repair)>&
+        visit) {
+  std::optional<Priority> empty;
+  PREFREP_ASSIGN_OR_RETURN(const Priority* checked,
+                           PriorityOnGraph(graph, priority, family, &empty));
   ExecutionContext* context = options.context;
-  if (SpansOneComponent(graph)) {
-    // Connected graph: no decomposition, no priority projection, no
-    // remapping — enumerate in place. There is only one component, so
-    // options.threads has nothing to fan out over.
-    return EnumerateFamilyOnGraph(graph, priority, family, callback, context);
-  }
-  ComponentDecomposition decomposition(graph);
-  const std::vector<GraphComponent>& components = decomposition.components();
-  if (components.empty()) {
-    // Only isolated vertices: the unique repair belongs to every family.
-    return callback(decomposition.isolated());
-  }
-  if (components.size() == 1) {
-    // One non-singleton component plus isolated vertices: enumerate the
-    // component locally and scatter into the full universe — no
-    // materialization, matching the memory profile of a connected graph.
-    DynamicBitset scratch = decomposition.isolated();
-    return EnumerateFamilyOnGraph(
-        components[0].graph,
-        LocalPriorities(decomposition, priority, family)[0], family,
-        [&](const DynamicBitset& local) {
-          decomposition.Scatter(0, local, scratch);
-          return callback(scratch);
-        },
-        context);
-  }
-  // Materialize each component's family list in its compact universe,
-  // then stream the cross product. If the lists outgrow the byte budget
-  // (only possible when one component alone has an astronomical repair
-  // space), fall back to whole-graph streaming.
-  std::vector<std::vector<DynamicBitset>> lists;
-  Status materialized = MaterializeFamilyLists(decomposition, priority,
-                                               family, options, &lists);
-  if (materialized.code() == StatusCode::kResourceExhausted) {
-    lists.clear();
-    lists.shrink_to_fit();  // free before the streaming fallback
-    if (context != nullptr && context->interrupted()) return false;
-    return EnumeratePreferredRepairsStreaming(graph, priority, family,
-                                              callback, context);
-  }
-  if (!materialized.ok()) return false;  // interrupted; context holds why
-  return ComponentProductEnumerator(decomposition, std::move(lists), context)
-      .Enumerate(callback);
+  return WalkPreferredRepairs(
+      graph, *checked, family, options, options.threads,
+      [&](int worker, const DynamicBitset& repair) {
+        PREFREP_FAILPOINT("cqa.eval");
+        if (context != nullptr) context->stats().AddRepairsExamined();
+        return visit(worker, repair);
+      });
 }
 
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const EvalOptions& options) try {
+  std::optional<Priority> empty;
+  PREFREP_ASSIGN_OR_RETURN(const Priority* checked,
+                           PriorityOnGraph(graph, priority, family, &empty));
   EvalContextScope scope(options);
   ExecutionContext* context = scope.context();
   size_t limit = options.limits.max_repair_list;
@@ -445,18 +636,17 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
     limit = std::min(limit, context->limits().max_repair_list);
   }
   std::vector<DynamicBitset> repairs;
-  bool complete = EnumeratePreferredRepairs(
-      graph, priority, family, options.Parallel(context),
-      [&repairs, limit, context](const DynamicBitset& r) {
-        if (repairs.size() >= limit) return false;
-        repairs.push_back(r);
+  bool complete = true;
+  PREFREP_RETURN_IF_ERROR(WalkPreferredRepairs(
+      graph, *checked, family, options.Parallel(context), /*workers=*/1,
+      [&](int /*worker*/, const DynamicBitset& repair) {
+        complete = repairs.size() < limit;
+        if (!complete) return false;
+        repairs.push_back(repair);
         if (context != nullptr) context->stats().AddRepairsExamined();
         return true;
-      });
+      }));
   if (!complete) {
-    if (context != nullptr && context->interrupted()) {
-      return context->StatusWithStats();
-    }
     return Status::ResourceExhausted("more than " + std::to_string(limit) +
                                      " preferred repairs in family " +
                                      std::string(RepairFamilyName(family)));
@@ -469,23 +659,17 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 
 std::optional<ComponentFamilyLists> MaterializeComponentFamilyLists(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options, ThreadPool* pool) {
+    const ParallelOptions& options) {
   ComponentFamilyLists out{ComponentDecomposition(graph), {}};
-  Status materialized = MaterializeFamilyLists(
-      out.decomposition, priority, family, options, &out.choices, pool);
-  // Both overflow and interrupt yield nullopt: the streaming/serial paths
-  // the caller falls back to poll the context themselves, so an interrupt
-  // still surfaces without re-running the materialization.
+  const int threads =
+      EffectiveThreadCount(options, out.decomposition.components().size());
+  std::unique_ptr<ThreadPool> pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  Status materialized = MaterializeLists(
+      out.decomposition, LocalPriorities(out.decomposition, priority, family),
+      family, options.context, pool.get(), &out.choices);
   if (!materialized.ok()) return std::nullopt;
   return out;
-}
-
-bool EnumeratePreferredRepairsStreaming(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const std::function<bool(const DynamicBitset&)>& callback,
-    ExecutionContext* context) {
-  PREFREP_FAILPOINT("families.streaming_fallback");
-  return StreamComponentFamily(graph, priority, family, callback, context);
 }
 
 }  // namespace prefrep

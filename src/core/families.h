@@ -1,11 +1,13 @@
 // The four families of preferred repairs: L-Rep, S-Rep, G-Rep, C-Rep,
 // plus the unrestricted Rep (no priorities given).
 //
-// PreferredRepairs / EnumeratePreferredRepairs select the subset of the
-// repair space a family retains under a given priority; these drive the
-// preferred-consistent-query-answer engines in src/cqa. Rep is the
-// kAll family on the same path — every repair enumeration in the library
-// (RepairProblem's, IsGloballyOptimal's) goes through it.
+// Every family is a product of per-component choice lists, and this
+// header owns the one walk over that product (core/families.cc).
+// EnumeratePreferredRepairs walks it on the calling thread;
+// ForEachPreferredRepair, which the tier-2 folds in src/cqa run over,
+// shards it across options.threads workers. Rep is the kAll family on
+// the same walk, so every repair enumeration in the library goes through
+// it.
 
 #ifndef PREFREP_CORE_FAMILIES_H_
 #define PREFREP_CORE_FAMILIES_H_
@@ -64,75 +66,78 @@ RepairFamily EffectiveFamily(const Priority& priority, RepairFamily family);
 bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
                        RepairFamily family, const DynamicBitset& repair);
 
-// Visits every repair of the family exactly once (order unspecified): the
-// library's one enumeration skeleton, Rep included. The callback returns
-// false to stop early; returns true iff enumeration completed. Each
-// component's family list is materialized in its compact universe under
-// the byte budget, one engine per component on options.threads workers,
-// and the lists' product streams through `callback` on the calling
-// thread — the emitted sequence is identical at every thread count.
-// Connected graphs, single components and lists over the budget stream
-// instead (EnumeratePreferredRepairsStreaming). Caveat at the edge of the
-// budget: parallel G-Rep materialization holds several unfiltered lists
-// at once, so a transient peak can trip the streaming fallback where
-// serial squeaks by — same repair *set*, different order.
+// Visits every repair of the family exactly once: the walk with one
+// worker. The callback returns false to stop early; returns true iff
+// enumeration completed. A connected graph or a single component streams
+// in place. Otherwise each component's list is materialized in its
+// compact universe under the byte budget, one engine per component on
+// options.threads workers, and the product streams through `callback` in
+// odometer order on the calling thread — the emitted sequence is
+// identical at every thread count. Lists over the budget fall back to
+// whole-graph streaming. Caveat at the edge of the budget: parallel G-Rep
+// materialization holds several unfiltered lists at once, so a transient
+// peak can trip the fallback where serial squeaks by — same repair *set*,
+// different order.
 //
-// Rep (kAll) reads no priority: a default-constructed Priority is valid
-// for it.
+// `priority` must be built over `graph` (the Status entry points below
+// check it). Rep (kAll) reads no priority: a default-constructed Priority
+// is valid for it.
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback);
+
+// The tier-2 walk: calls visit(worker, repair) once per repair of the
+// family, with worker < max(1, options.threads) so callers size
+// per-worker fold state up front; visit returning false stops every
+// worker. The same walk as EnumeratePreferredRepairs with
+// options.threads workers: the materialized product is cut into
+// disjoint boxes walked concurrently; everything that streams runs on
+// the calling thread as worker 0. Folds whose merge is commutative
+// therefore give the serial result at every thread count. With a context
+// attached, every visited repair counts in its repairs_examined.
+//
+// For every family but Rep, a priority with arcs built over another graph
+// (other vertex count, or an arc on no conflict edge) is
+// kInvalidArgument; one without arcs is read as Priority::Empty(graph).
+// Otherwise returns OK when the walk completed or visit stopped it; the
+// context's latched status when it was interrupted (the fold saw only a
+// prefix and must be discarded); a worker throw as the pool's Status
+// (bad_alloc -> kResourceExhausted). A throw on the calling thread
+// propagates.
+[[nodiscard]] Status ForEachPreferredRepair(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    const ParallelOptions& options,
+    const std::function<bool(int worker, const DynamicBitset& repair)>& visit);
 
 // Materializes the family. Threads, deadline and the list cap all come
 // from `options`; the cap is options.limits.max_repair_list (clamped to
 // options.context's max_repair_list when an external context is
 // attached). Past the cap it fails with kResourceExhausted; an
 // interrupted context fails with its kCancelled / kDeadlineExceeded
-// status instead.
+// status instead. The priority is checked as in ForEachPreferredRepair.
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const EvalOptions& options = {});
 
 // Per-component family lists in their compact local universes, together
-// with the decomposition that defines them. The input of sharded
-// consumers: ForEachPreferredRepair (cqa/cqa.h) splits the product space
-// into disjoint boxes, each fixing or narrowing the index ranges of
-// several components' lists (ComponentProductEnumerator::EnumerateSlices),
-// and walks the boxes on worker threads.
+// with the decomposition that defines them: the factors of the product
+// the walk above visits.
 struct ComponentFamilyLists {
   ComponentDecomposition decomposition;
   std::vector<std::vector<DynamicBitset>> choices;
 };
 
 // Materializes every component's family list, fanning components out
-// across options.threads workers (on `pool` when given, else an
-// on-demand pool). Returns nullopt when the lists exceed the byte budget
-// (options.context's limit, else kComponentListBudgetBytes) — callers
-// then take a serial streaming path
-// (EnumeratePreferredRepairsStreaming, which will not re-attempt the
-// materialization that just failed) — or when the context was interrupted
-// (the fallback path re-polls the context and surfaces the interrupt). A
-// graph with no non-singleton component yields empty `choices`; its
-// unique repair is decomposition.isolated().
+// across options.threads workers. Returns nullopt when the lists exceed
+// the byte budget (options.context's limit, else ExecutionLimits{}'s) or
+// when the context was interrupted. A graph with no non-singleton
+// component yields empty `choices`; its unique repair is
+// decomposition.isolated().
 [[nodiscard]] std::optional<ComponentFamilyLists>
 MaterializeComponentFamilyLists(const ConflictGraph& graph,
                                 const Priority& priority, RepairFamily family,
-                                const ParallelOptions& options,
-                                ThreadPool* pool = nullptr);
-
-// Whole-graph streaming enumeration with O(search depth) memory: how
-// EnumeratePreferredRepairs runs on a connected graph or a single
-// component, and what it falls back to once per-component lists exceed
-// the byte budget (its Debug failpoint marks every whole-graph stream).
-// kGlobal certifies each repair by a nested, context-governed ≪-witness
-// search. For consumers that already know the budget is blown —
-// re-running the doomed materialization would double the exponential
-// core. Emission order differs from the product path; the set is equal.
-bool EnumeratePreferredRepairsStreaming(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const std::function<bool(const DynamicBitset&)>& callback,
-    ExecutionContext* context = nullptr);
+                                const ParallelOptions& options);
 
 }  // namespace prefrep
 

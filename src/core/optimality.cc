@@ -1,6 +1,7 @@
 #include "core/optimality.h"
 
-#include "core/families.h"
+#include "graph/components.h"
+#include "graph/mis.h"
 
 namespace prefrep {
 
@@ -62,20 +63,28 @@ bool IsSemiGloballyOptimal(const ConflictGraph& graph,
 bool IsGloballyOptimal(const ConflictGraph& graph, const Priority& priority,
                        const DynamicBitset& repair) {
   DCHECK(graph.IsMaximalIndependent(repair));
-  bool found_witness = false;
-  DynamicBitset scratch1(repair.size());
-  DynamicBitset scratch2(repair.size());
-  EnumeratePreferredRepairs(graph, Priority(), RepairFamily::kAll, {},
-                            [&](const DynamicBitset& other) {
-                              if (other == repair) return true;
-                              if (IsPreferredOver(priority, repair, other,
-                                                  scratch1, scratch2)) {
-                                found_witness = true;
-                                return false;  // stop enumeration
-                              }
-                              return true;
-                            });
-  return !found_witness;
+  // A ≪-witness narrows to one component: take it on one component where
+  // it differs from `repair` and `repair` elsewhere. Every tuple dropped
+  // lies in that component, and its dominator there (arcs never cross
+  // components) is kept. So each component's repairs are searched under
+  // its projected priority, never the product of them.
+  ComponentDecomposition decomposition(graph);
+  std::vector<Priority> local = ProjectPriorities(decomposition, priority);
+  for (size_t c = 0; c < local.size(); ++c) {
+    const ConflictGraph& component = decomposition.components()[c].graph;
+    DynamicBitset mine(component.vertex_count());
+    decomposition.Gather(static_cast<int>(c), repair, mine);
+    DynamicBitset scratch1(component.vertex_count());
+    DynamicBitset scratch2(component.vertex_count());
+    bool found_witness = false;
+    MisEngine(component).Enumerate([&](const DynamicBitset& other) {
+      found_witness = other != mine && IsPreferredOver(local[c], mine, other,
+                                                       scratch1, scratch2);
+      return !found_witness;
+    });
+    if (found_witness) return false;
+  }
+  return true;
 }
 
 bool IsGloballyOptimalAmong(const Priority& priority,

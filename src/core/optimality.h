@@ -57,10 +57,11 @@ namespace prefrep {
                                          const Priority& priority,
                                          const DynamicBitset& repair);
 
-// G via Prop. 5: no repair r'' != r' with r' ≪ r''. The witness search
-// enumerates repairs through the Rep family (co-NP-complete in general,
-// Theorem 5). The repair-checking API and the reference the per-component
-// G-Rep certificates are tested against.
+// G via Prop. 5: no repair r'' != r' with r' ≪ r''. A witness narrows to
+// one conflict component, so the search runs a MisEngine per component
+// under its projected priority: exponential in the largest component, not
+// in the whole repair space (co-NP-complete in general, Theorem 5). The
+// repair-checking API.
 [[nodiscard]] bool IsGloballyOptimal(const ConflictGraph& graph,
                                      const Priority& priority,
                                      const DynamicBitset& repair);

@@ -52,12 +52,12 @@ struct AggregateRange {
 // Exponential in the number of preferred repairs (co-NP-hard in general,
 // per [2]); intended for moderate instances. The planner's enumeration
 // tier: callers go through PlannedAggregateRange (cqa/planner.h).
-// A fold over ForEachPreferredRepair (cqa/cqa.h): options.threads > 1
+// A fold over ForEachPreferredRepair (core/families.h): options.threads > 1
 // shards the repair product across workers exactly as the verdict and
 // certain-answer engines do, each worker folding its own range, and the
 // min/max merge makes the range bit-for-bit the serial one. SUM and AVG
 // accumulate in 128 bits, so int64 inputs cannot overflow them.
-// `options.context`, when set, is polled once per repair; expiry/cancel
+// `options.context`, when set, is polled throughout the walk; expiry/cancel
 // surfaces as the context's latched kCancelled / kDeadlineExceeded status,
 // never a range over a prefix of the repairs.
 Result<AggregateRange> AggregateConsistentRange(

@@ -11,61 +11,12 @@
 
 #include "base/exec_context.h"
 #include "base/failpoint.h"
-#include "base/thread_pool.h"
-#include "graph/components.h"
 #include "query/normal_form.h"
 #include "query/prepared.h"
 
 namespace prefrep {
 
 namespace {
-
-using ShardBox = std::vector<ComponentProductEnumerator::DigitRange>;
-
-// Partitions the product space of per-component family lists into
-// ~threads*4 disjoint boxes (ComponentProductEnumerator::EnumerateSlices
-// tasks), a few per worker so the work-stealing pool can rebalance
-// uneven boxes. One component's list rarely has enough entries on its
-// own (multi-component instances often have many small lists but an
-// astronomical product), so the planner works through the components by
-// descending list length: it fixes whole digits — taking the cross
-// product of their individual indices into the box set — while that
-// keeps the box count at or under the target, then splits the next
-// digit's range to make up the remainder. Box count stays under 2x the
-// target; every box is non-empty (no list here is empty — the walk
-// returns early for empty families).
-std::vector<ShardBox> PlanCqaShards(
-    const std::vector<std::vector<DynamicBitset>>& choices, int threads) {
-  const size_t target = static_cast<size_t>(threads) * size_t{4};
-  std::vector<int> order(choices.size());
-  for (size_t c = 0; c < order.size(); ++c) order[c] = static_cast<int>(c);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return choices[a].size() > choices[b].size();
-  });
-  std::vector<ShardBox> boxes(1);  // one box covering the whole product
-  size_t count = 1;
-  for (int digit : order) {
-    const size_t length = choices[digit].size();
-    if (count >= target || length <= 1) break;  // nothing more to gain
-    // Fix this digit (one box per index) while that stays under the
-    // target; otherwise split its range just enough to reach it.
-    const size_t splits = count * length <= target
-                              ? length
-                              : std::min(length, (target + count - 1) / count);
-    std::vector<ShardBox> expanded;
-    expanded.reserve(boxes.size() * splits);
-    for (const ShardBox& box : boxes) {
-      for (size_t s = 0; s < splits; ++s) {
-        expanded.push_back(box);
-        expanded.back().push_back(
-            {digit, length * s / splits, length * (s + 1) / splits});
-      }
-    }
-    count *= splits;
-    boxes = std::move(expanded);
-  }
-  return boxes;
-}
 
 // Drops from `keep` every row not also in `other`. Each worker's running
 // intersection and the merge of the workers' partials both go through
@@ -98,81 +49,6 @@ std::string_view CqaVerdictName(CqaVerdict verdict) {
       return "undetermined";
   }
   return "?";
-}
-
-Status ForEachPreferredRepair(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
-    const std::function<bool(int worker, const DynamicBitset& repair)>&
-        visit) {
-  ExecutionContext* context = options.context;
-  // A context interrupt truncates the walk silently (callbacks just return
-  // false); surface it so no caller mistakes a partial fold for a result.
-  const auto finish = [context](Status status) {
-    if (context != nullptr && context->interrupted()) {
-      return context->StatusWithStats();
-    }
-    return status;
-  };
-  // Worker 0 on the calling thread. Without a context it runs bare: no
-  // poll, stats or failpoint on the ungoverned fast path.
-  const std::function<bool(const DynamicBitset&)> serial =
-      [&](const DynamicBitset& repair) {
-        if (context != nullptr) {
-          PREFREP_FAILPOINT("cqa.eval");
-          if (context->ShouldStop()) return false;
-          context->stats().AddRepairsExamined();
-        }
-        return visit(0, repair);
-      };
-  // A connected graph streams in place with early stop, so materializing
-  // its one list up front (the sharded prerequisite) could cost
-  // unboundedly more than the fold needs; isolated vertices alone form a
-  // single repair. On multi-component graphs the serial walk materializes
-  // the very same per-component lists, so sharding adds no memory or
-  // materialization the serial run would not.
-  if (options.threads <= 1 || SpansOneComponent(graph) ||
-      graph.edge_count() == 0) {
-    EnumeratePreferredRepairs(graph, priority, family, options, serial);
-    return finish(Status::Ok());
-  }
-  // One pool serves both the per-component materialization and the
-  // sharded product walk.
-  ThreadPool pool(options.threads);
-  std::optional<ComponentFamilyLists> lists = MaterializeComponentFamilyLists(
-      graph, priority, family, options, &pool);
-  if (!lists.has_value()) {
-    // Over the byte budget (or interrupted, which the stream re-polls):
-    // stream the whole graph with O(depth) memory rather than re-running
-    // the materialization that just failed.
-    EnumeratePreferredRepairsStreaming(graph, priority, family, serial,
-                                       context);
-    return finish(Status::Ok());
-  }
-  for (const std::vector<DynamicBitset>& list : lists->choices) {
-    if (list.empty()) return finish(Status::Ok());  // empty family
-  }
-  std::vector<ShardBox> boxes =
-      PlanCqaShards(lists->choices, pool.thread_count());
-  std::atomic<bool> stop{false};
-  Status walked = pool.ParallelFor(
-      boxes.size(),
-      [&](size_t box, int worker) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        ComponentProductEnumerator product(lists->decomposition,
-                                           &lists->choices, context);
-        product.EnumerateSlices(boxes[box], [&](const DynamicBitset& repair) {
-          PREFREP_FAILPOINT("cqa.eval");
-          if (context != nullptr) context->stats().AddRepairsExamined();
-          if (!visit(worker, repair)) {
-            stop.store(true, std::memory_order_relaxed);
-            return false;
-          }
-          return !stop.load(std::memory_order_relaxed);
-        });
-      },
-      context);
-  return finish(walked);
 }
 
 Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,

@@ -10,8 +10,9 @@
 // The tier-2 engines are folds over X-Rep: the verdict ORs "holds /
 // fails", certain answers intersect per-repair answer sets, and aggregate
 // ranges (cqa/aggregation.h) take min/max. All three fold over one walk,
-// ForEachPreferredRepair, serial or sharded across the product of
-// per-component family lists. For the family Rep and *ground
+// ForEachPreferredRepair (core/families.h), serial or sharded across the
+// product of per-component family lists; this directory holds only the
+// folds and the ground engines. For the family Rep and *ground
 // quantifier-free* queries, GroundConsistentAnswer implements the
 // polynomial conflict-graph algorithm (Chomicki–Marcinkowski; first row
 // of Fig. 5).
@@ -19,7 +20,6 @@
 #ifndef PREFREP_CQA_CQA_H_
 #define PREFREP_CQA_CQA_H_
 
-#include <functional>
 #include <string_view>
 
 #include "base/status.h"
@@ -41,28 +41,6 @@ enum class CqaVerdict {
 };
 
 std::string_view CqaVerdictName(CqaVerdict verdict);
-
-// The tier-2 walk: calls visit(worker, repair) once per repair of the
-// family, with worker < max(1, options.threads) so callers size
-// per-worker fold state up front. visit returning false stops every
-// worker. threads <= 1, a connected graph and a graph of isolated
-// vertices alone run EnumeratePreferredRepairs on the calling thread as
-// worker 0. Otherwise one ThreadPool materializes the per-component
-// family lists (core/families.h) and then walks disjoint boxes of their
-// product concurrently; lists over the byte budget fall back to
-// whole-graph streaming on worker 0, and an empty list (empty family)
-// visits nothing. Folds whose merge is commutative therefore give the
-// serial result at every thread count.
-//
-// Returns OK when the walk completed or visit stopped it; the context's
-// latched kCancelled / kDeadlineExceeded / failure status when it was
-// interrupted (the fold then saw only a prefix and must be discarded); a
-// worker throw as the pool's Status (bad_alloc -> kResourceExhausted).
-// A throw on the serial branch propagates to the caller.
-[[nodiscard]] Status ForEachPreferredRepair(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
-    const std::function<bool(int worker, const DynamicBitset& repair)>& visit);
 
 // The tier-2 verdict engine, planner-free: evaluates the closed compiled
 // query in every preferred repair, each walk worker on a private copy;

@@ -196,25 +196,10 @@ void ComponentDecomposition::Gather(int c, const DynamicBitset& global,
 
 ComponentProductEnumerator::ComponentProductEnumerator(
     const ComponentDecomposition& decomposition,
-    std::vector<std::vector<DynamicBitset>> choices, ExecutionContext* context)
-    : decomposition_(decomposition),
-      owned_choices_(std::move(choices)),
-      choices_(&owned_choices_),
-      context_(context) {
-  CHECK_EQ(choices_->size(), decomposition_.components().size());
-}
-
-ComponentProductEnumerator::ComponentProductEnumerator(
-    const ComponentDecomposition& decomposition,
     const std::vector<std::vector<DynamicBitset>>* choices,
     ExecutionContext* context)
     : decomposition_(decomposition), choices_(choices), context_(context) {
   CHECK_EQ(choices_->size(), decomposition_.components().size());
-}
-
-bool ComponentProductEnumerator::Enumerate(
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumerateSlices({}, callback);
 }
 
 bool ComponentProductEnumerator::EnumerateSlices(

@@ -4,47 +4,26 @@
 // notion in the paper decomposes over connected components: a set is a
 // (preferred) repair of the whole graph iff its restriction to each
 // component is a (preferred) repair of that component (Staworko-Chomicki-
-// Marcinkowski exploit the same structure). The one enumeration skeleton,
-// EnumeratePreferredRepairs in core/families.h, therefore searches each
-// component in its own compact universe — bitsets, memo keys and
-// optimality certificates all shrink to component size — materializes
-// the per-component lists under a byte budget (MaterializeComponentLists)
-// and recombines them lazily with a cross-product odometer
-// (ComponentProductEnumerator). The same product, cut into boxes
-// (EnumerateSlices), is what the sharded CQA walk distributes across
-// workers (ForEachPreferredRepair, cqa/cqa.h).
+// Marcinkowski exploit the same structure). This header holds the pieces
+// of that product: the decomposition into compact per-component universes
+// and ComponentProductEnumerator, the odometer over per-component choice
+// lists, whole or cut into boxes (EnumerateSlices). The one walk that
+// materializes the lists under the byte budget and drives the odometer —
+// on the calling thread or box by box on worker threads — is
+// core/families.cc's (EnumeratePreferredRepairs, ForEachPreferredRepair).
 
 #ifndef PREFREP_GRAPH_COMPONENTS_H_
 #define PREFREP_GRAPH_COMPONENTS_H_
 
-#include <atomic>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "base/biguint.h"
 #include "base/bitset.h"
 #include "base/exec_context.h"
-#include "base/thread_pool.h"
 #include "graph/conflict_graph.h"
 
 namespace prefrep {
-
-// Default budget for materialized per-component family lists
-// (core/families.cc, Rep included) when no ExecutionContext is attached;
-// contexts carry their own limit in ExecutionLimits. Only a component
-// whose own repair space is astronomical can exceed it; the enumerator
-// then falls back to whole-graph streaming with O(depth) memory. The
-// accounting itself lives in base/exec_context.h's ResourceArbiter
-// (shared by every producer of one enumeration call; thread-safe so
-// parallel per-component producers can share it — whether a charge
-// overflows depends only on the grand total, not on thread interleaving,
-// except transient peaks of producers that refund, where a parallel run
-// can overflow where serial would squeak by; both outcomes are correct
-// since overflow only selects the streaming fallback).
-inline constexpr size_t kComponentListBudgetBytes =
-    ExecutionLimits{}.component_list_budget_bytes;
 
 // The compact subgraph induced by `vertices` (sorted ascending): local
 // vertex i stands for global vertex vertices[i].
@@ -52,10 +31,11 @@ inline constexpr size_t kComponentListBudgetBytes =
                                             const std::vector<int>& vertices);
 
 // True iff the graph is one connected component spanning every vertex
-// (and nonempty). The enumeration engines use this as a cheap pre-check:
-// a spanning component needs no decomposition, no priority projection and
-// no local/global remapping, keeping the fixed per-call overhead on small
-// connected inputs (a few microseconds of end-to-end CQA) near zero.
+// (and nonempty). The product walk (core/families.cc) uses this as a
+// cheap pre-check: a spanning component needs no decomposition, no
+// priority projection and no local/global remapping, keeping the fixed
+// per-call overhead on small connected inputs (a few microseconds of
+// end-to-end CQA) near zero.
 [[nodiscard]] bool SpansOneComponent(const ConflictGraph& graph);
 
 // One non-singleton connected component in its compact local universe.
@@ -143,32 +123,17 @@ class ComponentDecomposition {
 // holds local-universe bitsets for decomposition component c. The product
 // is streamed through one reusable scratch bitset — no allocation per
 // output — and the callback can stop enumeration early by returning false.
+// The choice table is borrowed and read-only, so several enumerators (one
+// per worker thread) can walk disjoint boxes of one table at once.
 class ComponentProductEnumerator {
  public:
-  // `context`, when set, is polled at every odometer tick; an interrupt
-  // stops enumeration (Enumerate* return false).
-  ComponentProductEnumerator(const ComponentDecomposition& decomposition,
-                             std::vector<std::vector<DynamicBitset>> choices,
-                             ExecutionContext* context = nullptr);
-  // Borrowing form for sharded consumers: several enumerators (one per
-  // worker thread) walk disjoint slices of one read-only choice table.
-  // `choices` must outlive the enumerator.
+  // `choices` must outlive the enumerator. `context`, when set, is polled
+  // at every odometer tick; an interrupt stops enumeration
+  // (EnumerateSlices returns false).
   ComponentProductEnumerator(
       const ComponentDecomposition& decomposition,
       const std::vector<std::vector<DynamicBitset>>* choices,
       ExecutionContext* context = nullptr);
-
-  // Not copyable/movable: choices_ may point into owned_choices_, and the
-  // defaulted operations would leave the copy aimed at the source's
-  // buffer.
-  ComponentProductEnumerator(const ComponentProductEnumerator&) = delete;
-  ComponentProductEnumerator& operator=(const ComponentProductEnumerator&) =
-      delete;
-
-  // Visits every combination exactly once (order unspecified); returns true
-  // iff enumeration ran to completion. An empty choice list for any
-  // component makes the product empty (vacuously complete).
-  bool Enumerate(const std::function<bool(const DynamicBitset&)>& callback);
 
   // A constraint on one digit of the product: component `digit`'s choice
   // index ranges over [begin, end) instead of its full list.
@@ -180,10 +145,11 @@ class ComponentProductEnumerator {
 
   // Enumerates the box of the product where each constrained component
   // ranges over its DigitRange and every unconstrained component over its
-  // full list (`ranges` may name each digit at most once). Boxes that
-  // partition the full box partition the product — this is how the
-  // tier-2 walk (ForEachPreferredRepair, cqa/cqa.h) shards verdicts,
-  // certain answers and aggregate ranges across workers. Any empty range
+  // full list (`ranges` may name each digit at most once), in odometer
+  // order; returns true iff the box ran to completion. Empty `ranges` is
+  // the whole product. Boxes that partition the full box partition the
+  // product — this is how ForEachPreferredRepair (core/families.h) shards
+  // the tier-2 folds across workers. Any empty range or empty choice list
   // makes the box a vacuously complete empty slice.
   bool EnumerateSlices(const std::vector<DigitRange>& ranges,
                        const std::function<bool(const DynamicBitset&)>& callback);
@@ -193,84 +159,9 @@ class ComponentProductEnumerator {
 
  private:
   const ComponentDecomposition& decomposition_;
-  std::vector<std::vector<DynamicBitset>> owned_choices_;
   const std::vector<std::vector<DynamicBitset>>* choices_;
   ExecutionContext* context_;
 };
-
-// Fills lists[c] for every component by running `produce` — serially, or
-// fanned out over a work-stealing pool when options.threads > 1 and there
-// is more than one component. `produce(c, out, budget)` appends component
-// c's choice list, charging the shared arbiter, and returns false on
-// overflow or interrupt; it must be safe to run concurrently for distinct
-// c (engines constructed inside a produce call are per-task and therefore
-// confined to one thread). Pass `pool` to reuse a caller-owned ThreadPool
-// (the CQA walk shares one pool between materialization and sharding);
-// with nullptr a pool is created on demand.
-//
-// The arbiter's limit comes from options.context when set (its stats also
-// record charges and completed components), else kComponentListBudgetBytes.
-// Returns OK when every list materialized; kResourceExhausted when any
-// component overflowed the byte budget (callers pick their streaming
-// fallback); the context's kCancelled / kDeadlineExceeded / failure status
-// when it was interrupted mid-materialization.
-template <typename ProduceComponent>
-[[nodiscard]] Status MaterializeComponentLists(
-    const ComponentDecomposition& decomposition,
-    const ParallelOptions& options, ProduceComponent&& produce,
-    std::vector<std::vector<DynamicBitset>>* lists,
-    ThreadPool* pool = nullptr) {
-  const size_t count = decomposition.components().size();
-  lists->assign(count, {});
-  ExecutionContext* context = options.context;
-  ResourceArbiter arbiter(
-      context != nullptr ? context->limits().component_list_budget_bytes
-                         : kComponentListBudgetBytes,
-      context != nullptr ? &context->stats() : nullptr);
-  const auto finish = [&](bool overflow) {
-    if (context != nullptr && context->interrupted()) return context->status();
-    if (overflow) {
-      return Status::ResourceExhausted(
-          "component list budget exhausted (" +
-          std::to_string(arbiter.limit()) + " bytes)");
-    }
-    return Status::Ok();
-  };
-  int threads = EffectiveThreadCount(options, count);
-  if (threads <= 1) {
-    for (size_t c = 0; c < count; ++c) {
-      if (context != nullptr && context->ShouldStop()) return finish(false);
-      if (!produce(static_cast<int>(c), &(*lists)[c], &arbiter)) {
-        return finish(true);
-      }
-      if (context != nullptr) context->stats().AddComponentsCompleted();
-    }
-    return finish(false);
-  }
-  std::atomic<bool> overflow{false};
-  auto run = [&](ThreadPool& p) {
-    return p.ParallelFor(
-        count,
-        [&](size_t c, int /*worker*/) {
-          if (overflow.load(std::memory_order_relaxed)) return;
-          if (!produce(static_cast<int>(c), &(*lists)[c], &arbiter)) {
-            overflow.store(true, std::memory_order_relaxed);
-          } else if (context != nullptr) {
-            context->stats().AddComponentsCompleted();
-          }
-        },
-        context);
-  };
-  Status pool_status = Status::Ok();
-  if (pool != nullptr) {
-    pool_status = run(*pool);
-  } else {
-    ThreadPool own_pool(threads);
-    pool_status = run(own_pool);
-  }
-  if (!pool_status.ok()) return pool_status;
-  return finish(overflow.load(std::memory_order_relaxed));
-}
 
 }  // namespace prefrep
 

@@ -59,11 +59,13 @@ Result<MisSizeRange> MaskedMisSizeRange(
     decomposition.Gather(static_cast<int>(c), mask, local_mask);
     int comp_min = std::numeric_limits<int>::max();
     int comp_max = 0;
+    uint64_t comp_count = 0;
     MisEngine engine(components[c].graph, context);
     engine.Enumerate([&](const DynamicBitset& mis) {
       int size = mis.IntersectionCount(local_mask);
       comp_min = std::min(comp_min, size);
       comp_max = std::max(comp_max, size);
+      ++comp_count;
       return true;
     });
     // An interrupted search saw a prefix of the component's sets, whose
@@ -74,6 +76,7 @@ Result<MisSizeRange> MaskedMisSizeRange(
     if (context != nullptr) context->stats().AddComponentsCompleted();
     range.lo += comp_min;
     range.hi += comp_max;
+    range.count *= BigUint(comp_count);
   }
   return range;
 }

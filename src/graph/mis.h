@@ -134,13 +134,15 @@ class ComponentDecomposition;
 struct MisSizeRange {
   int64_t lo = 0;
   int64_t hi = 0;
+  BigUint count = BigUint::One();  // number of maximal independent sets
 };
 
 // The range of |S ∩ mask| over the maximal independent sets S of the
 // decomposed graph (`mask` spans the full vertex set; an all-set mask
-// gives the repair-size range). Sizes add over components, so this is the
-// isolated vertices' share plus each component's extremes, streamed from
-// a MisEngine over the component — no list is materialized. `context`,
+// gives the repair-size range), and their exact count. Sizes add and
+// counts multiply over components, so this is the isolated vertices'
+// share plus each component's extremes and count, streamed from one
+// MisEngine pass over the component — no list is materialized. `context`,
 // when set, is polled per component and inside each search; an interrupt
 // returns its kCancelled / kDeadlineExceeded status.
 [[nodiscard]] Result<MisSizeRange> MaskedMisSizeRange(

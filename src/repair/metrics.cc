@@ -35,7 +35,6 @@ RepairSpaceMetrics ComputeRepairSpaceMetrics(const RepairProblem& problem,
     metrics.max_degree = std::max(metrics.max_degree, degree);
     if (degree > 0) ++metrics.conflicting_tuple_count;
   }
-  metrics.repair_count = problem.CountRepairs();
 
   ComponentDecomposition decomposition(graph);
   int isolated = decomposition.isolated().Count();
@@ -48,6 +47,7 @@ RepairSpaceMetrics ComputeRepairSpaceMetrics(const RepairProblem& problem,
   }
   MisSizeRange sizes = *MaskedMisSizeRange(
       decomposition, DynamicBitset::AllSet(graph.vertex_count()));
+  metrics.repair_count = sizes.count;
   metrics.min_repair_size = static_cast<int>(sizes.lo);
   metrics.max_repair_size = static_cast<int>(sizes.hi);
 

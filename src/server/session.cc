@@ -415,12 +415,6 @@ Result<uint64_t> Session::Submit(SessionRequest request) {
   if (request.query == nullptr) {
     return Status::InvalidArgument("SessionRequest.query is null");
   }
-  // A default-constructed priority stands for "no preferences": normalize
-  // it to the snapshot's empty priority so family engines can index it.
-  if (request.priority.vertex_count() == 0 &&
-      snapshot_->graph().vertex_count() > 0) {
-    request.priority = Priority::Empty(snapshot_->graph());
-  }
   auto pending = std::make_shared<PendingRequest>();
   pending->request = std::move(request);
   if (pending->request.options.context == nullptr) {

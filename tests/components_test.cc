@@ -123,8 +123,8 @@ SetOfSets ComposedFamily(const ConflictGraph& g, const Priority& p,
     choices.push_back(*std::move(members));
   }
   SetOfSets out;
-  ComponentProductEnumerator product(decomposition, std::move(choices));
-  product.Enumerate([&out](const DynamicBitset& r) {
+  ComponentProductEnumerator product(decomposition, &choices);
+  product.EnumerateSlices({}, [&out](const DynamicBitset& r) {
     EXPECT_TRUE(out.insert(r.ToVector()).second);
     return true;
   });
@@ -200,10 +200,10 @@ TEST(ComponentProductEnumeratorTest, EnumeratesFullProduct) {
                        DynamicBitset::FromIndices(2, {1})});
     EXPECT_EQ(c.graph.vertex_count(), 2);
   }
-  ComponentProductEnumerator product(d, std::move(choices));
+  ComponentProductEnumerator product(d, &choices);
   EXPECT_EQ(product.Count().ToString(), "4");
   SetOfSets seen;
-  EXPECT_TRUE(product.Enumerate([&seen](const DynamicBitset& r) {
+  EXPECT_TRUE(product.EnumerateSlices({}, [&seen](const DynamicBitset& r) {
     EXPECT_TRUE(r.Test(2));  // isolated vertex in every output
     seen.insert(r.ToVector());
     return true;
@@ -229,10 +229,10 @@ TEST(ComponentProductEnumeratorTest, EarlyStopShortCircuits) {
     ASSERT_EQ(repairs->size(), 3u);
     choices.push_back(*std::move(repairs));
   }
-  ComponentProductEnumerator product(d, std::move(choices));
+  ComponentProductEnumerator product(d, &choices);
   EXPECT_EQ(product.Count().ToString(), "27");
   int seen = 0;
-  EXPECT_FALSE(product.Enumerate([&seen](const DynamicBitset&) {
+  EXPECT_FALSE(product.EnumerateSlices({}, [&seen](const DynamicBitset&) {
     return ++seen < 5;
   }));
   EXPECT_EQ(seen, 5);
@@ -244,10 +244,10 @@ TEST(ComponentProductEnumeratorTest, EmptyChoiceListMakesEmptyProduct) {
   std::vector<std::vector<DynamicBitset>> choices(2);
   choices[0].push_back(DynamicBitset::FromIndices(2, {0}));
   // choices[1] left empty.
-  ComponentProductEnumerator product(d, std::move(choices));
+  ComponentProductEnumerator product(d, &choices);
   EXPECT_EQ(product.Count().ToString(), "0");
   int seen = 0;
-  EXPECT_TRUE(product.Enumerate([&seen](const DynamicBitset&) {
+  EXPECT_TRUE(product.EnumerateSlices({}, [&seen](const DynamicBitset&) {
     ++seen;
     return true;
   }));
@@ -275,7 +275,7 @@ TEST(ComponentProductEnumeratorTest, DisjointBoxesPartitionTheProduct) {
   }
   ComponentProductEnumerator full(d, &choices);
   SetOfSets expected;
-  EXPECT_TRUE(full.Enumerate([&expected](const DynamicBitset& r) {
+  EXPECT_TRUE(full.EnumerateSlices({}, [&expected](const DynamicBitset& r) {
     expected.insert(r.ToVector());
     return true;
   }));

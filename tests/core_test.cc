@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <vector>
 
 #include "constraints/fd_theory.h"
 #include "core/algorithm1.h"
@@ -476,6 +478,50 @@ TEST(FamiliesTest, IsPreferredRepairAgreesWithEnumerationEverywhere) {
       }
     }
   }
+  // Multi-component path graphs: membership checks decompose over
+  // components (G-Rep's witness search included) and must still agree
+  // with the enumerated families.
+  for (const std::vector<int>& sizes :
+       {std::vector<int>{4, 1, 5}, std::vector<int>{3, 3, 3, 2},
+        std::vector<int>{6, 2, 1, 4}}) {
+    ConflictGraph g = MakeComponentPathsGraph(rng, sizes);
+    Priority p = RandomRankingPriority(rng, g, 0.7);
+    auto all = PreferredRepairs(g, Priority(), RepairFamily::kAll);
+    ASSERT_TRUE(all.ok());
+    for (RepairFamily family : kAllFamilies) {
+      auto preferred = PreferredRepairs(g, p, family);
+      ASSERT_TRUE(preferred.ok());
+      std::set<DynamicBitset> preferred_set(preferred->begin(),
+                                            preferred->end());
+      for (const DynamicBitset& r : *all) {
+        EXPECT_EQ(IsPreferredRepair(g, p, family, r),
+                  preferred_set.contains(r))
+            << RepairFamilyName(family) << " on " << sizes.size()
+            << " components";
+      }
+    }
+  }
+}
+
+TEST(FamiliesTest, GlobalRepairCheckingSearchesEachComponent) {
+  // 12 paths of 6 vertices have 5^12 (~2.4e8) repairs; checking one
+  // G-Rep member against all of them takes minutes, while a search per
+  // component visits 12 x 5. The bound is generous for Debug and
+  // sanitizer builds.
+  Rng rng(1212);
+  ConflictGraph g = MakeComponentPathsGraph(rng, std::vector<int>(12, 6));
+  Priority p = RandomRankingPriority(rng, g, 0.7);
+  DynamicBitset member;
+  EnumeratePreferredRepairs(g, p, RepairFamily::kGlobal, {},
+                            [&member](const DynamicBitset& r) {
+                              member = r;
+                              return false;
+                            });
+  ASSERT_EQ(member.size(), g.vertex_count());
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(IsGloballyOptimal(g, p, member));
+  EXPECT_TRUE(IsPreferredRepair(g, p, RepairFamily::kGlobal, member));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST(FamiliesTest, EnumerationShortCircuits) {

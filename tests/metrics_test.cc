@@ -57,6 +57,18 @@ TEST(MetricsTest, VariableRepairSizes) {
   EXPECT_EQ(m.max_repair_size, 2);
 }
 
+TEST(MetricsTest, RepairCountMatchesCountRepairsAcrossComponents) {
+  // The count comes from the same per-component pass as the size range;
+  // it must still be the exact product CountRepairs reports.
+  Rng rng(5);
+  GeneratedInstance inst = MakeComponentsInstance(rng, {4, 1, 5, 3, 6});
+  RepairProblem problem = MustProblem(inst);
+  RepairSpaceMetrics m = ComputeRepairSpaceMetrics(problem, nullptr);
+  ASSERT_GT(m.component_count, 2);
+  EXPECT_EQ(m.repair_count.ToString(), problem.CountRepairs().ToString());
+  EXPECT_NE(m.repair_count.ToString(), "1");
+}
+
 TEST(MetricsTest, PriorityCoverageCounted) {
   MgrScenario s = MakeMgrScenario();
   auto problem = RepairProblem::Create(s.db.get(), s.fds);

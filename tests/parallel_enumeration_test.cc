@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "base/exec_context.h"
+#include "base/failpoint.h"
 #include "base/random.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
@@ -313,6 +316,37 @@ TEST(ParallelEnumerationTest, CqaOnConnectedInstanceMatchesSerial) {
       ASSERT_TRUE(rows.ok());
       EXPECT_EQ(rows->rows, serial_rows->rows) << RepairFamilyName(family);
     }
+  }
+}
+
+TEST(ParallelEnumerationTest, SingleComponentWalkStreamsAtEveryThreadCount) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "failpoints compiled out";
+  // One 12-vertex path between two isolated vertices: the walk streams the
+  // one component in place, with early stop, at every thread count rather
+  // than materializing its list first. G-Rep materializes the
+  // component's list by design — its certificate compares against it —
+  // and the visited repairs match threads = 1 either way.
+  Rng rng(1612);
+  ConflictGraph graph = MakeComponentPathsGraph(rng, {1, 12, 1});
+  Priority priority = RandomRankingPriority(rng, graph, 0.6);
+  for (RepairFamily family : kAllFamilies) {
+    std::vector<uint64_t> visited;
+    for (int threads : {1, 4}) {
+      failpoint::ScopedFailpoint fp("families.materialize", [] {});
+      std::atomic<uint64_t> count{0};
+      Status walked = ForEachPreferredRepair(
+          graph, priority, family, ParallelOptions{threads},
+          [&count](int /*worker*/, const DynamicBitset&) {
+            count.fetch_add(1, std::memory_order_relaxed);
+            return true;
+          });
+      ASSERT_TRUE(walked.ok()) << walked.ToString();
+      EXPECT_EQ(fp.hit_count(), family == RepairFamily::kGlobal ? 1u : 0u)
+          << RepairFamilyName(family) << " threads " << threads;
+      visited.push_back(count.load());
+    }
+    EXPECT_GT(visited[0], 0u);
+    EXPECT_EQ(visited[1], visited[0]) << RepairFamilyName(family);
   }
 }
 

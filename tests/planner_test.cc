@@ -89,6 +89,57 @@ TEST(PlannerTierTest, EmptyPriorityCollapsesEveryFamilyToRep) {
   }
 }
 
+TEST(PlannerForceTest, ForcedEnumerationReadsDefaultPriorityAsEmpty) {
+  // A default-constructed Priority means "no preferences". Forced
+  // enumeration runs the requested family itself, so every family must
+  // read it as Priority::Empty over the instance's graph: same verdict,
+  // answers and aggregate range, on a multi-component and a connected
+  // instance.
+  Rng rng(31);
+  GeneratedInstance components = MakeComponentsInstance(rng, {3, 1, 4});
+  GeneratedInstance chain = MakeChainInstance(6);
+  for (const GeneratedInstance* inst : {&components, &chain}) {
+    RepairProblem problem = MustProblem(*inst);
+    Priority empty = Priority::Empty(problem.graph());
+    const bool is_chain = inst == &chain;
+    auto closed = MustParse(is_chain ? "exists a, b, c . R(a, b, c, 0)"
+                                     : "exists y, z . R(0, y, z)");
+    auto open = MustParse(is_chain ? "exists c, d . R(a, b, c, d)"
+                                   : "exists z . R(x, y, z)");
+    EvalOptions forced;
+    forced.force_tier = CqaTier::kEnumeration;
+    for (RepairFamily family : kAllFamilies) {
+      auto verdict = PlannedConsistentAnswer(problem, Priority(), family,
+                                             *closed, forced);
+      auto reference =
+          PlannedConsistentAnswer(problem, empty, family, *closed, forced);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_EQ(*verdict, *reference) << RepairFamilyName(family);
+
+      auto answers = PlannedConsistentAnswers(problem, Priority(), family,
+                                              *open, forced);
+      auto answers_reference =
+          PlannedConsistentAnswers(problem, empty, family, *open, forced);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      ASSERT_TRUE(answers_reference.ok());
+      EXPECT_EQ(answers->rows, answers_reference->rows)
+          << RepairFamilyName(family);
+
+      auto range = PlannedAggregateRange(problem, Priority(), family, "R",
+                                         is_chain ? "B" : "V",
+                                         AggregateFunction::kSum, forced);
+      auto range_reference = PlannedAggregateRange(
+          problem, empty, family, "R", is_chain ? "B" : "V",
+          AggregateFunction::kSum, forced);
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      ASSERT_TRUE(range_reference.ok());
+      EXPECT_EQ(range->lo, range_reference->lo) << RepairFamilyName(family);
+      EXPECT_EQ(range->hi, range_reference->hi) << RepairFamilyName(family);
+    }
+  }
+}
+
 TEST(PlannerTierTest, PreferredFamilyUnderPriorityPlansEnumeration) {
   GeneratedInstance rn = MakeRnInstance(2);
   RepairProblem problem = MustProblem(rn);

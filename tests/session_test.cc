@@ -386,6 +386,77 @@ TEST(SessionAsyncTest, DestructorFailsQueuedRequestsWithCancelled) {
   session.reset();
 }
 
+// ------------------------------------ priorities of another snapshot --
+
+TEST(SessionDerivedTest, ParentPriorityIsInvalidArgumentOnDerivedSnapshot) {
+  // A priority is built over one snapshot's conflict graph. A derived
+  // snapshot that inserts two tuples has another graph, so every family
+  // that reads a priority must reject the parent's with kInvalidArgument,
+  // through every entry point, instead of indexing past its end. Rep
+  // reads no priority and still answers. Two shapes: the inserts open a
+  // new component of a multi-component instance, or extend a connected
+  // chain.
+  Rng rng(41);
+  GeneratedInstance components = MakeComponentsInstance(rng, {3, 4, 3});
+  GeneratedInstance chain = MakeChainInstance(10);
+  for (const GeneratedInstance* inst : {&components, &chain}) {
+    const bool is_chain = inst == &chain;
+    std::shared_ptr<const Snapshot> parent = MustSnapshot(*inst);
+    Priority priority = RandomRankingPriority(rng, parent->graph(), 0.7);
+    ASSERT_GT(priority.arc_count(), 0);
+    DatabaseDelta delta(&parent->db());
+    if (is_chain) {
+      // t_10 shares C with t_9 and t_11 shares A with t_10: a chain of 12.
+      ASSERT_TRUE(delta.Insert("R", Tuple::Of(Value::Number(5),
+                                              Value::Number(0),
+                                              Value::Number(5),
+                                              Value::Number(0)))
+                      .ok());
+      ASSERT_TRUE(delta.Insert("R", Tuple::Of(Value::Number(5),
+                                              Value::Number(1),
+                                              Value::Number(6),
+                                              Value::Number(1)))
+                      .ok());
+    } else {
+      for (int v = 0; v < 2; ++v) {
+        ASSERT_TRUE(delta.Insert("R", Tuple::Of(Value::Number(99),
+                                                Value::Number(v),
+                                                Value::Number(0)))
+                        .ok());
+      }
+    }
+    auto child = Snapshot::Derive(parent, delta);
+    ASSERT_TRUE(child.ok()) << child.status().ToString();
+    ASSERT_EQ(SpansOneComponent((*child)->graph()), is_chain);
+    Session session(*child);
+    auto closed = MustParse(is_chain ? "exists a, b, c . R(a, b, c, 0)"
+                                     : "exists y, z . R(0, y, z)");
+    auto open = MustParse(is_chain ? "exists c, d . R(a, b, c, d)"
+                                   : "exists z . R(x, y, z)");
+    const std::string attribute = is_chain ? "B" : "V";
+    for (RepairFamily family : kAllFamilies) {
+      SCOPED_TRACE(std::string(RepairFamilyName(family)) +
+                   (is_chain ? " on the chain" : " on components"));
+      std::vector<Status> statuses = {
+          session.Ask(*closed, priority, family).status(),
+          session.Answers(*open, priority, family).status(),
+          session
+              .Aggregate("R", attribute, AggregateFunction::kSum, priority,
+                         family)
+              .status(),
+          session.Repairs(priority, family).status()};
+      for (const Status& status : statuses) {
+        if (family == RepairFamily::kAll) {
+          EXPECT_TRUE(status.ok()) << status.ToString();
+        } else {
+          EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+              << status.ToString();
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------- differential: cached == uncached, bitwise --
 
 // Mirrors planner_test.cc's random-query generators so the session suite

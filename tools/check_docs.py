@@ -9,10 +9,12 @@ Three guarantees, so the docs cannot silently rot as the tree grows:
   2. docs/ARCHITECTURE.md stays complete: every module directory under src/
      must be mentioned (as `src/<module>/`), so adding a module without
      documenting it fails CI.
-  3. The docs name no deleted API: every CamelCase identifier inside an
-     inline code span of README.md or docs/*.md must occur as a word in the
-     code (src/, tests/, bench/, examples/, servebench/, tools/), a CMake
-     file or .github/.
+  3. The docs name no deleted API: every CamelCase identifier and every
+     k-prefixed constant (kAll, kEnumeration) inside an inline code span of
+     README.md or docs/*.md must occur as a word in the code (src/, tests/,
+     bench/, examples/, servebench/, tools/), a CMake file or .github/. In
+     C++ sources (.h/.cc/.cpp) comments are stripped first, so a deleted
+     name that survives only in a comment does not count.
 
 Stdlib only; exits non-zero with one line per violation.
 """
@@ -37,10 +39,22 @@ CODE_DIRS = ("src", "tests", "bench", "examples", "servebench", "tools",
 
 FENCE_RE = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
-# CamelCase with two or more humps (MisEngine, RelWithDebInfo); kAll and
-# DNF do not match.
-CAMEL_RE = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+\b")
+# CamelCase with two or more humps (MisEngine, RelWithDebInfo) or a
+# k-prefixed constant (kAll, kDefaultRepairListLimit); DNF does not match.
+NAME_RE = re.compile(
+    r"\b(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+|k[A-Z][A-Za-z0-9]*)\b")
 WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+CPP_SUFFIXES = {".h", ".cc", ".cpp"}
+# A C++ string or character literal (kept: a name in a string is code) or
+# a comment (dropped).
+CPP_TOKEN_RE = re.compile(
+    r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'|//[^\n]*|/\*.*?\*/',
+    re.DOTALL)
+
+
+def strip_cpp_comments(text: str) -> str:
+    return CPP_TOKEN_RE.sub(
+        lambda m: " " if m.group(0).startswith("/") else m.group(0), text)
 
 
 def markdown_files(root: pathlib.Path):
@@ -98,6 +112,8 @@ def code_words(root: pathlib.Path) -> set:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             continue  # binary artifact
+        if path.suffix in CPP_SUFFIXES:
+            text = strip_cpp_comments(text)
         words.update(WORD_RE.findall(text))
     return words
 
@@ -111,7 +127,7 @@ def check_documented_names(root: pathlib.Path) -> list:
             continue
         text = FENCE_RE.sub("", md.read_text(encoding="utf-8"))
         names = {name for span in CODE_SPAN_RE.findall(text)
-                 for name in CAMEL_RE.findall(span)}
+                 for name in NAME_RE.findall(span)}
         for name in sorted(names - words):
             errors.append(
                 f"{md.relative_to(root)}: `{name}` occurs nowhere in the"
