@@ -23,9 +23,10 @@ Status ValidateArcs(const ConflictGraph& graph,
           "," + std::to_string(y) + ")");
     }
   }
+  // `arcs` is sorted (Create sorts it), so each reverse lookup is a
+  // binary search and the check stays O(a log a).
   for (auto [x, y] : arcs) {
-    if (std::find(arcs.begin(), arcs.end(), std::make_pair(y, x)) !=
-        arcs.end()) {
+    if (std::binary_search(arcs.begin(), arcs.end(), std::make_pair(y, x))) {
       return Status::InvalidArgument("conflict edge (" + std::to_string(x) +
                                      "," + std::to_string(y) +
                                      ") oriented in both directions");

@@ -3,174 +3,16 @@
 #include <cctype>
 
 #include "base/strings.h"
+#include "query/tokens.h"
 
 namespace prefrep {
 
 namespace {
 
-enum class TokenKind {
-  kIdent,
-  kNumber,
-  kQuotedName,
-  kLParen,
-  kRParen,
-  kComma,
-  kDot,
-  kCompare,  // = != < <= > >=
-  kEnd,
-};
-
-struct Token {
-  TokenKind kind;
-  std::string text;
-  ComparisonOp op = ComparisonOp::kEq;  // when kCompare
-  size_t position = 0;
-};
-
-class Lexer {
+// The grammar in parser.h, one method per production.
+class Parser : TokenCursor {
  public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
-    while (true) {
-      SkipWhitespace();
-      size_t start = pos_;
-      if (pos_ >= text_.size()) {
-        tokens.push_back({TokenKind::kEnd, "", ComparisonOp::kEq, start});
-        return tokens;
-      }
-      char c = text_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t begin = pos_;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_')) {
-          ++pos_;
-        }
-        tokens.push_back({TokenKind::kIdent,
-                          std::string(text_.substr(begin, pos_ - begin)),
-                          ComparisonOp::kEq, start});
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '-' && pos_ + 1 < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-        size_t begin = pos_;
-        ++pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          ++pos_;
-        }
-        tokens.push_back({TokenKind::kNumber,
-                          std::string(text_.substr(begin, pos_ - begin)),
-                          ComparisonOp::kEq, start});
-        continue;
-      }
-      switch (c) {
-        case '\'': {
-          ++pos_;
-          size_t begin = pos_;
-          while (pos_ < text_.size() && text_[pos_] != '\'') ++pos_;
-          if (pos_ >= text_.size()) {
-            return Status::ParseError("unterminated quoted name at position " +
-                                      std::to_string(start));
-          }
-          tokens.push_back({TokenKind::kQuotedName,
-                            std::string(text_.substr(begin, pos_ - begin)),
-                            ComparisonOp::kEq, start});
-          ++pos_;  // closing quote
-          continue;
-        }
-        case '(':
-          tokens.push_back({TokenKind::kLParen, "(", ComparisonOp::kEq,
-                            start});
-          ++pos_;
-          continue;
-        case ')':
-          tokens.push_back({TokenKind::kRParen, ")", ComparisonOp::kEq,
-                            start});
-          ++pos_;
-          continue;
-        case ',':
-          tokens.push_back({TokenKind::kComma, ",", ComparisonOp::kEq,
-                            start});
-          ++pos_;
-          continue;
-        case '.':
-          tokens.push_back({TokenKind::kDot, ".", ComparisonOp::kEq, start});
-          ++pos_;
-          continue;
-        case '=':
-          tokens.push_back({TokenKind::kCompare, "=", ComparisonOp::kEq,
-                            start});
-          ++pos_;
-          continue;
-        case '!':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-            tokens.push_back({TokenKind::kCompare, "!=", ComparisonOp::kNe,
-                              start});
-            pos_ += 2;
-            continue;
-          }
-          return Status::ParseError("unexpected '!' at position " +
-                                    std::to_string(start));
-        case '<':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-            tokens.push_back({TokenKind::kCompare, "<=", ComparisonOp::kLe,
-                              start});
-            pos_ += 2;
-          } else if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-            tokens.push_back({TokenKind::kCompare, "<>", ComparisonOp::kNe,
-                              start});
-            pos_ += 2;
-          } else {
-            tokens.push_back({TokenKind::kCompare, "<", ComparisonOp::kLt,
-                              start});
-            ++pos_;
-          }
-          continue;
-        case '>':
-          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-            tokens.push_back({TokenKind::kCompare, ">=", ComparisonOp::kGe,
-                              start});
-            pos_ += 2;
-          } else {
-            tokens.push_back({TokenKind::kCompare, ">", ComparisonOp::kGt,
-                              start});
-            ++pos_;
-          }
-          continue;
-        default:
-          return Status::ParseError(std::string("unexpected character '") +
-                                    c + "' at position " +
-                                    std::to_string(start));
-      }
-    }
-  }
-
- private:
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-std::string Lowered(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(
-                          static_cast<unsigned char>(c)));
-  return out;
-}
-
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<std::unique_ptr<Query>> Parse() {
     PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> q, ParseFormula());
@@ -181,38 +23,6 @@ class Parser {
   }
 
  private:
-  const Token& Current() const { return tokens_[index_]; }
-  const Token& Peek() const {
-    return tokens_[std::min(index_ + 1, tokens_.size() - 1)];
-  }
-  void Advance() {
-    if (index_ + 1 < tokens_.size()) ++index_;
-  }
-  bool IsKeyword(const char* kw) const {
-    return Current().kind == TokenKind::kIdent &&
-           Lowered(Current().text) == kw;
-  }
-  Status Error(const std::string& message) const {
-    return Status::ParseError(message + " at position " +
-                              std::to_string(Current().position));
-  }
-
-  // Runs `parse` one syntactic nesting level (negation, parenthesis,
-  // quantifier body) deeper. Each level costs a few stack frames of
-  // recursive descent, so hostile input is refused with a parse error
-  // well before it could exhaust the stack.
-  template <typename ParseFn>
-  Result<std::unique_ptr<Query>> Nested(const ParseFn& parse) {
-    if (depth_ >= kMaxNestingDepth) {
-      return Error("query nested deeper than " +
-                   std::to_string(kMaxNestingDepth) + " levels");
-    }
-    ++depth_;
-    Result<std::unique_ptr<Query>> out = parse();
-    --depth_;
-    return out;
-  }
-
   Result<std::unique_ptr<Query>> ParseFormula() {
     if (IsKeyword("exists") || IsKeyword("forall")) {
       return ParseQuantified();
@@ -229,10 +39,10 @@ class Parser {
         return Error("expected variable name");
       }
       if (std::isupper(static_cast<unsigned char>(Current().text[0]))) {
-        return Error("quantified variable '" + Current().text +
+        return Error("quantified variable '" + std::string(Current().text) +
                      "' must start with a lower-case letter");
       }
-      vars.push_back(Current().text);
+      vars.emplace_back(Current().text);
       Advance();
       if (Current().kind == TokenKind::kComma) {
         Advance();
@@ -312,7 +122,7 @@ class Parser {
     if (Current().kind == TokenKind::kIdent &&
         Peek().kind == TokenKind::kLParen && !IsKeyword("not") &&
         !IsKeyword("and") && !IsKeyword("or")) {
-      std::string relation = Current().text;
+      std::string relation(Current().text);
       Advance();  // relation name
       Advance();  // '('
       std::vector<Term> terms;
@@ -350,16 +160,16 @@ class Parser {
         Advance();
         return Term::ConstNumber(value);
       }
-      case TokenKind::kQuotedName: {
-        Term t = Term::ConstName(tok.text);
+      case TokenKind::kQuoted: {
+        Term t = Term::ConstName(std::string(tok.text));
         Advance();
         return t;
       }
       case TokenKind::kIdent: {
         // Capitalized identifier = name constant; otherwise variable.
         Term t = std::isupper(static_cast<unsigned char>(tok.text[0]))
-                     ? Term::ConstName(tok.text)
-                     : Term::Var(tok.text);
+                     ? Term::ConstName(std::string(tok.text))
+                     : Term::Var(std::string(tok.text));
         Advance();
         return t;
       }
@@ -367,19 +177,12 @@ class Parser {
         return Error("expected a term (variable, number or name)");
     }
   }
-
-  static constexpr int kMaxNestingDepth = 1024;
-
-  std::vector<Token> tokens_;
-  size_t index_ = 0;
-  int depth_ = 0;
 };
 
 }  // namespace
 
 Result<std::unique_ptr<Query>> ParseQuery(std::string_view text) {
-  Lexer lexer(text);
-  PREFREP_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
+  PREFREP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
   Parser parser(std::move(tokens));
   return parser.Parse();
 }

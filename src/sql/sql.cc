@@ -1,148 +1,14 @@
 #include "sql/sql.h"
 
-#include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 
 #include "base/strings.h"
+#include "query/tokens.h"
 
 namespace prefrep {
 
 namespace {
-
-enum class SqlTokenKind {
-  kIdent,
-  kNumber,
-  kString,
-  kStar,
-  kComma,
-  kDot,
-  kLParen,
-  kRParen,
-  kCompare,
-  kEnd,
-};
-
-struct SqlToken {
-  SqlTokenKind kind;
-  std::string text;
-  ComparisonOp op = ComparisonOp::kEq;
-  size_t position = 0;
-};
-
-Result<std::vector<SqlToken>> TokenizeSql(std::string_view text) {
-  std::vector<SqlToken> tokens;
-  size_t pos = 0;
-  auto push = [&](SqlTokenKind kind, std::string t, ComparisonOp op,
-                  size_t at) {
-    tokens.push_back({kind, std::move(t), op, at});
-  };
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-      continue;
-    }
-    size_t start = pos;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      while (pos < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-              text[pos] == '_')) {
-        ++pos;
-      }
-      push(SqlTokenKind::kIdent, std::string(text.substr(start, pos - start)),
-           ComparisonOp::kEq, start);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && pos + 1 < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
-      ++pos;
-      while (pos < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-      }
-      push(SqlTokenKind::kNumber,
-           std::string(text.substr(start, pos - start)), ComparisonOp::kEq,
-           start);
-      continue;
-    }
-    switch (c) {
-      case '\'': {
-        ++pos;
-        size_t begin = pos;
-        while (pos < text.size() && text[pos] != '\'') ++pos;
-        if (pos >= text.size()) {
-          return Status::ParseError("unterminated string literal");
-        }
-        push(SqlTokenKind::kString,
-             std::string(text.substr(begin, pos - begin)), ComparisonOp::kEq,
-             start);
-        ++pos;
-        continue;
-      }
-      case '*':
-        push(SqlTokenKind::kStar, "*", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case ',':
-        push(SqlTokenKind::kComma, ",", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case '.':
-        push(SqlTokenKind::kDot, ".", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case '(':
-        push(SqlTokenKind::kLParen, "(", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case ')':
-        push(SqlTokenKind::kRParen, ")", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case '=':
-        push(SqlTokenKind::kCompare, "=", ComparisonOp::kEq, start);
-        ++pos;
-        continue;
-      case '!':
-        if (pos + 1 < text.size() && text[pos + 1] == '=') {
-          push(SqlTokenKind::kCompare, "!=", ComparisonOp::kNe, start);
-          pos += 2;
-          continue;
-        }
-        return Status::ParseError("unexpected '!' in SQL");
-      case '<':
-        if (pos + 1 < text.size() && text[pos + 1] == '=') {
-          push(SqlTokenKind::kCompare, "<=", ComparisonOp::kLe, start);
-          pos += 2;
-        } else if (pos + 1 < text.size() && text[pos + 1] == '>') {
-          push(SqlTokenKind::kCompare, "<>", ComparisonOp::kNe, start);
-          pos += 2;
-        } else {
-          push(SqlTokenKind::kCompare, "<", ComparisonOp::kLt, start);
-          ++pos;
-        }
-        continue;
-      case '>':
-        if (pos + 1 < text.size() && text[pos + 1] == '=') {
-          push(SqlTokenKind::kCompare, ">=", ComparisonOp::kGe, start);
-          pos += 2;
-        } else {
-          push(SqlTokenKind::kCompare, ">", ComparisonOp::kGt, start);
-          ++pos;
-        }
-        continue;
-      default:
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in SQL at position " +
-                                  std::to_string(start));
-    }
-  }
-  tokens.push_back({SqlTokenKind::kEnd, "", ComparisonOp::kEq, text.size()});
-  return tokens;
-}
 
 struct ColumnRef {
   std::string alias;
@@ -150,13 +16,13 @@ struct ColumnRef {
   std::string VariableName() const { return alias + "." + attribute; }
 };
 
-class SqlParser {
+class SqlParser : TokenCursor {
  public:
-  SqlParser(const Database& db, std::vector<SqlToken> tokens)
-      : db_(db), tokens_(std::move(tokens)) {}
+  SqlParser(const Database& db, std::vector<Token> tokens)
+      : TokenCursor(std::move(tokens)), db_(db) {}
 
-  // Parses the statement; returns the open query and fills
-  // `selected_vars` with the free (selected) variable names.
+  // Parses the statement into a query whose free variables are the
+  // selected columns, or a closed query when `boolean_result`.
   Result<std::unique_ptr<Query>> Parse(bool boolean_result) {
     if (!ConsumeKeyword("select")) return Error("expected SELECT");
     PREFREP_RETURN_IF_ERROR(ParseSelectList());
@@ -164,43 +30,15 @@ class SqlParser {
     PREFREP_RETURN_IF_ERROR(ParseFromList());
     std::unique_ptr<Query> where;
     if (ConsumeKeyword("where")) {
-      PREFREP_ASSIGN_OR_RETURN(where, ParseCondition());
+      PREFREP_ASSIGN_OR_RETURN(where, ParseOr());
     }
-    if (Current().kind != SqlTokenKind::kEnd) return Error("trailing input");
+    if (Current().kind != TokenKind::kEnd) return Error("trailing input");
     return Assemble(std::move(where), boolean_result);
   }
 
  private:
-  const SqlToken& Current() const { return tokens_[index_]; }
-  const SqlToken& Peek() const {
-    return tokens_[std::min(index_ + 1, tokens_.size() - 1)];
-  }
-  void Advance() {
-    if (index_ + 1 < tokens_.size()) ++index_;
-  }
-  static std::string Lower(std::string_view s) {
-    std::string out(s);
-    for (char& c : out) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    return out;
-  }
-  bool IsKeyword(const char* kw) const {
-    return Current().kind == SqlTokenKind::kIdent &&
-           Lower(Current().text) == kw;
-  }
-  bool ConsumeKeyword(const char* kw) {
-    if (!IsKeyword(kw)) return false;
-    Advance();
-    return true;
-  }
-  Status Error(const std::string& message) const {
-    return Status::ParseError(message + " at position " +
-                              std::to_string(Current().position));
-  }
-
   Status ParseSelectList() {
-    if (Current().kind == SqlTokenKind::kStar) {
+    if (Current().kind == TokenKind::kStar) {
       select_star_ = true;
       Advance();
       return Status::Ok();
@@ -208,7 +46,7 @@ class SqlParser {
     while (true) {
       PREFREP_ASSIGN_OR_RETURN(ColumnRef column, ParseColumn());
       selected_.push_back(column);
-      if (Current().kind == SqlTokenKind::kComma) {
+      if (Current().kind == TokenKind::kComma) {
         Advance();
         continue;
       }
@@ -217,17 +55,17 @@ class SqlParser {
   }
 
   Result<ColumnRef> ParseColumn() {
-    if (Current().kind != SqlTokenKind::kIdent) {
+    if (Current().kind != TokenKind::kIdent) {
       return Error("expected column reference alias.Attribute");
     }
     ColumnRef column;
     column.alias = Current().text;
     Advance();
-    if (Current().kind != SqlTokenKind::kDot) {
+    if (Current().kind != TokenKind::kDot) {
       return Error("expected '.' in column reference");
     }
     Advance();
-    if (Current().kind != SqlTokenKind::kIdent) {
+    if (Current().kind != TokenKind::kIdent) {
       return Error("expected attribute name after '.'");
     }
     column.attribute = Current().text;
@@ -237,13 +75,13 @@ class SqlParser {
 
   Status ParseFromList() {
     while (true) {
-      if (Current().kind != SqlTokenKind::kIdent) {
+      if (Current().kind != TokenKind::kIdent) {
         return Error("expected relation name in FROM");
       }
-      std::string relation = Current().text;
+      std::string relation(Current().text);
       Advance();
       std::string alias = relation;
-      if (Current().kind == SqlTokenKind::kIdent && !IsKeyword("where")) {
+      if (Current().kind == TokenKind::kIdent && !IsKeyword("where")) {
         alias = Current().text;
         Advance();
       }
@@ -253,15 +91,13 @@ class SqlParser {
       }
       aliases_.emplace(alias, rel);
       from_order_.push_back(alias);
-      if (Current().kind == SqlTokenKind::kComma) {
+      if (Current().kind == TokenKind::kComma) {
         Advance();
         continue;
       }
       return Status::Ok();
     }
   }
-
-  Result<std::unique_ptr<Query>> ParseCondition() { return ParseOr(); }
 
   Result<std::unique_ptr<Query>> ParseOr() {
     std::vector<std::unique_ptr<Query>> parts;
@@ -287,13 +123,15 @@ class SqlParser {
 
   Result<std::unique_ptr<Query>> ParseNot() {
     if (ConsumeKeyword("not")) {
-      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> child, ParseNot());
+      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> child,
+                               Nested([&] { return ParseNot(); }));
       return Query::Not(std::move(child));
     }
-    if (Current().kind == SqlTokenKind::kLParen) {
+    if (Current().kind == TokenKind::kLParen) {
       Advance();
-      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> inner, ParseOr());
-      if (Current().kind != SqlTokenKind::kRParen) return Error("expected ')'");
+      PREFREP_ASSIGN_OR_RETURN(std::unique_ptr<Query> inner,
+                               Nested([&] { return ParseOr(); }));
+      if (Current().kind != TokenKind::kRParen) return Error("expected ')'");
       Advance();
       return inner;
     }
@@ -302,7 +140,7 @@ class SqlParser {
 
   Result<std::unique_ptr<Query>> ParseComparison() {
     PREFREP_ASSIGN_OR_RETURN(Term lhs, ParseOperand());
-    if (Current().kind != SqlTokenKind::kCompare) {
+    if (Current().kind != TokenKind::kCompare) {
       return Error("expected comparison operator");
     }
     ComparisonOp op = Current().op;
@@ -313,17 +151,17 @@ class SqlParser {
 
   Result<Term> ParseOperand() {
     switch (Current().kind) {
-      case SqlTokenKind::kNumber: {
+      case TokenKind::kNumber: {
         PREFREP_ASSIGN_OR_RETURN(int64_t v, ParseInt64(Current().text));
         Advance();
         return Term::ConstNumber(v);
       }
-      case SqlTokenKind::kString: {
-        Term t = Term::ConstName(Current().text);
+      case TokenKind::kQuoted: {
+        Term t = Term::ConstName(std::string(Current().text));
         Advance();
         return t;
       }
-      case SqlTokenKind::kIdent: {
+      case TokenKind::kIdent: {
         PREFREP_ASSIGN_OR_RETURN(ColumnRef column, ParseColumn());
         PREFREP_RETURN_IF_ERROR(ValidateColumn(column));
         return Term::Var(column.VariableName());
@@ -386,8 +224,6 @@ class SqlParser {
   }
 
   const Database& db_;
-  std::vector<SqlToken> tokens_;
-  size_t index_ = 0;
   bool select_star_ = false;
   std::vector<ColumnRef> selected_;
   std::map<std::string, const Relation*> aliases_;
@@ -398,14 +234,14 @@ class SqlParser {
 
 Result<std::unique_ptr<Query>> ParseSql(const Database& db,
                                         std::string_view sql) {
-  PREFREP_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, TokenizeSql(sql));
+  PREFREP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   SqlParser parser(db, std::move(tokens));
   return parser.Parse(/*boolean_result=*/false);
 }
 
 Result<std::unique_ptr<Query>> ParseSqlBoolean(const Database& db,
                                                std::string_view sql) {
-  PREFREP_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, TokenizeSql(sql));
+  PREFREP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   SqlParser parser(db, std::move(tokens));
   return parser.Parse(/*boolean_result=*/true);
 }

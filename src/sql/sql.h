@@ -23,6 +23,12 @@
 //   WHERE m.Name = 'Mary' AND j.Name = 'John' AND m.Salary < j.Salary
 // A closed (boolean) query is obtained by selecting no columns via
 // ParseSqlBoolean, which existentially quantifies everything.
+//
+// Errors: malformed text is a kParseError whose message names the
+// position (byte offset) of the offending token. NOT and parentheses
+// nested deeper than 1024 levels, counted together, are a parse error
+// rather than a stack overflow. The tokenizer is the one the query
+// parser uses (query/tokens.h).
 
 #ifndef PREFREP_SQL_SQL_H_
 #define PREFREP_SQL_SQL_H_

@@ -52,7 +52,12 @@ TEST(PriorityTest, RejectsNonConflictingPair) {
 
 TEST(PriorityTest, RejectsBothDirections) {
   ConflictGraph g = Path(3);
-  EXPECT_FALSE(Priority::Create(g, {{0, 1}, {1, 0}}).ok());
+  auto p = Priority::Create(g, {{0, 1}, {1, 0}});
+  ASSERT_FALSE(p.ok());
+  // The cycle check rejects this input too; the message pins the
+  // both-directions check itself.
+  EXPECT_NE(p.status().message().find("both directions"), std::string::npos)
+      << p.status().ToString();
 }
 
 TEST(PriorityTest, RejectsCyclicRelation) {

@@ -116,6 +116,52 @@ TEST(SqlTest, Errors) {
                                "(m.Salary > 1").ok());
 }
 
+// `depth` copies of `open`, then `core`, then `depth` copies of `close`.
+std::string Nest(const std::string& open, int depth, const std::string& core,
+                 const std::string& close = "") {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += core;
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+TEST(SqlTest, HostileNestingIsAParseErrorNotACrash) {
+  MgrScenario s = MakeMgrScenario();
+  const std::string prefix = "SELECT m.Name FROM Mgr m WHERE ";
+  const std::string core = "m.Salary > 0";
+  for (int depth : {100000, 1000}) {
+    for (const std::string& text :
+         {prefix + Nest("NOT ", depth, core),
+          prefix + Nest("(", depth, core, ")")}) {
+      for (bool boolean : {false, true}) {
+        auto q = boolean ? ParseSqlBoolean(*s.db, text)
+                         : ParseSql(*s.db, text);
+        if (depth == 1000) {
+          EXPECT_TRUE(q.ok()) << q.status().ToString();
+          continue;
+        }
+        ASSERT_FALSE(q.ok()) << text.substr(0, 60);
+        EXPECT_EQ(q.status().code(), StatusCode::kParseError)
+            << q.status().ToString();
+      }
+    }
+  }
+}
+
+TEST(SqlTest, ErrorsCarryPositions) {
+  MgrScenario s = MakeMgrScenario();
+  for (const char* bad : {"SELECT m.Name FROM Mgr m WHERE m.Name = 'Mary",
+                          "SELECT m.Name FROM Mgr m WHERE m.Salary ! 3",
+                          "SELECT m.Name FROM Mgr m WHERE m.Salary = @"}) {
+    auto q = ParseSql(*s.db, bad);
+    ASSERT_FALSE(q.ok()) << bad;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(q.status().message().find("position"), std::string::npos)
+        << q.status().ToString();
+  }
+}
+
 TEST(SqlTest, CaseInsensitiveKeywords) {
   MgrScenario s = MakeMgrScenario();
   auto q = ParseSql(*s.db,

@@ -9,9 +9,10 @@ Three guarantees, so the docs cannot silently rot as the tree grows:
   2. docs/ARCHITECTURE.md stays complete: every module directory under src/
      must be mentioned (as `src/<module>/`), so adding a module without
      documenting it fails CI.
-  3. The docs name no deleted API: every CamelCase identifier and every
-     k-prefixed constant (kAll, kEnumeration) inside an inline code span of
-     README.md or docs/*.md must occur as a word in the code (src/, tests/,
+  3. The docs name no deleted API: every CamelCase identifier, every
+     k-prefixed constant (kAll, kEnumeration) and every capitalised name
+     after `::` (the Derive of Snapshot::Derive) inside an inline code span
+     of README.md or docs/*.md must occur as a word in the code (src/, tests/,
      bench/, examples/, servebench/, tools/), a CMake file or .github/. In
      C++ sources (.h/.cc/.cpp) comments are stripped first, so a deleted
      name that survives only in a comment does not count.
@@ -43,6 +44,9 @@ CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 # k-prefixed constant (kAll, kDefaultRepairListLimit); DNF does not match.
 NAME_RE = re.compile(
     r"\b(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+|k[A-Z][A-Za-z0-9]*)\b")
+# The member of a qualified name (Snapshot::Derive), which NAME_RE misses
+# when it has a single hump.
+QUALIFIED_RE = re.compile(r"::([A-Z][A-Za-z0-9_]*)")
 WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 CPP_SUFFIXES = {".h", ".cc", ".cpp"}
 # A C++ string or character literal (kept: a name in a string is code) or
@@ -127,7 +131,8 @@ def check_documented_names(root: pathlib.Path) -> list:
             continue
         text = FENCE_RE.sub("", md.read_text(encoding="utf-8"))
         names = {name for span in CODE_SPAN_RE.findall(text)
-                 for name in NAME_RE.findall(span)}
+                 for regex in (NAME_RE, QUALIFIED_RE)
+                 for name in regex.findall(span)}
         for name in sorted(names - words):
             errors.append(
                 f"{md.relative_to(root)}: `{name}` occurs nowhere in the"
