@@ -55,7 +55,7 @@ void BM_Ablation_FamilySelectivity(benchmark::State& state) {
     family_size = repairs->size();
     KeepAlive(family_size);
   }
-  auto all = problem->AllRepairs();
+  auto all = PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
   CHECK(all.ok());
   state.counters["family_size"] = static_cast<double>(family_size);
   state.counters["all_repairs"] = static_cast<double>(all->size());

@@ -53,16 +53,16 @@ void BM_TimeToCancel_FamilyEnumeration(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ExecutionContext context;
-    ParallelOptions options;
+    EvalOptions options;
     options.threads = threads;
     options.context = &context;
     std::thread worker([&] {
-      EnumeratePreferredRepairs(
+      // The walk counts every visited repair in the context's stats; it
+      // never stops voluntarily (the space is huge), so it ends cancelled.
+      Status walked = ForEachPreferredRepair(
           workload.graph, workload.priority, RepairFamily::kCommon, options,
-          [&context](const DynamicBitset&) {
-            context.stats().AddRepairsExamined();
-            return true;  // never stops voluntarily: the space is huge
-          });
+          [](int /*worker*/, const DynamicBitset&) { return true; });
+      CHECK(walked.code() == StatusCode::kCancelled) << walked.ToString();
     });
     while (context.stats().repairs_examined() == 0) {
       std::this_thread::yield();

@@ -59,10 +59,13 @@ void BM_Fig1_RepairEnumeration(benchmark::State& state) {
   int64_t visited = 0;
   for (auto _ : state) {
     visited = 0;
-    setup.problem->EnumerateRepairs([&visited](const DynamicBitset&) {
-      ++visited;
-      return true;
-    });
+    Status walked = ForEachPreferredRepair(
+        setup.problem->graph(), Priority(), RepairFamily::kAll, {},
+        [&visited](int /*worker*/, const DynamicBitset&) {
+          ++visited;
+          return true;
+        });
+    CHECK(walked.ok()) << walked.ToString();
     KeepAlive(visited);
   }
   CHECK_EQ(visited, int64_t{1} << n);

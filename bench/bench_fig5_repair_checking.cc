@@ -32,8 +32,8 @@ void BM_Fig5_RepairCheck_PolyFamilies(benchmark::State& state) {
       CleanDatabase(setup.problem->graph(), *setup.priority);
   bool member = false;
   for (auto _ : state) {
-    member = IsPreferredRepair(setup.problem->graph(), *setup.priority,
-                               family, repair);
+    member = *IsPreferredRepair(setup.problem->graph(), *setup.priority,
+                                family, repair);
     KeepAlive(member);
   }
   CHECK(member);  // Algorithm 1 outputs are in C ⊆ G ⊆ S ⊆ L ⊆ Rep
@@ -53,8 +53,8 @@ void BM_Fig5_RepairCheck_Global(benchmark::State& state) {
       CleanDatabase(setup.problem->graph(), *setup.priority);
   bool member = false;
   for (auto _ : state) {
-    member = IsPreferredRepair(setup.problem->graph(), *setup.priority,
-                               RepairFamily::kGlobal, repair);
+    member = *IsPreferredRepair(setup.problem->graph(), *setup.priority,
+                                RepairFamily::kGlobal, repair);
     KeepAlive(member);
   }
   CHECK(member);
@@ -76,8 +76,8 @@ void BM_Fig5_RepairCheck_CommonOnChains(benchmark::State& state) {
       CleanDatabase(setup.problem->graph(), *setup.priority);
   bool member = false;
   for (auto _ : state) {
-    member = IsPreferredRepair(setup.problem->graph(), *setup.priority,
-                               RepairFamily::kCommon, repair);
+    member = *IsPreferredRepair(setup.problem->graph(), *setup.priority,
+                                RepairFamily::kCommon, repair);
     KeepAlive(member);
   }
   CHECK(member);

@@ -51,14 +51,16 @@ int main() {
               *q1_in_r ? "true" : "false");
 
   std::printf("\n== Example 2: repairs of r ==\n");
-  problem->EnumerateRepairs([&](const DynamicBitset& repair) {
+  auto repairs =
+      PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
+  CHECK(repairs.ok()) << repairs.status().ToString();
+  for (const DynamicBitset& repair : *repairs) {
     std::printf("  repair:");
     ForEachSetBit(repair, [&](int id) {
       std::printf(" %s", s.db->TupleOf(id).ToString().c_str());
     });
     std::printf("\n");
-    return true;
-  });
+  }
   Priority empty = Priority::Empty(problem->graph());
   PrintVerdict("Q1 under Rep (no preferences):",
                *PlannedConsistentAnswer(*problem, empty, RepairFamily::kAll,

@@ -423,17 +423,17 @@ class Shell {
     }
     std::unique_ptr<ExecutionContext> context = MakeContext();
     ScopedActiveContext active(context.get());
-    ParallelOptions options;
+    EvalOptions options;
     options.context = context.get();
     size_t shown = 0;
-    EnumeratePreferredRepairs(snapshot_->graph(), *priority_, family_,
-                              options, [&](const DynamicBitset& repair) {
-                                if (context->ShouldStop()) return false;
-                                std::printf("  %s\n",
-                                            repair.ToString().c_str());
-                                return ++shown < limit;
-                              });
-    if (context->interrupted()) return context->StatusWithStats();
+    // The walk polls the context at every step and returns its status
+    // when Ctrl-C interrupts it.
+    PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
+        snapshot_->graph(), *priority_, family_, options,
+        [&](int /*worker*/, const DynamicBitset& repair) {
+          std::printf("  %s\n", repair.ToString().c_str());
+          return ++shown < limit;
+        }));
     std::printf("(%zu %s repair(s) shown, limit %zu)\n", shown,
                 std::string(RepairFamilyName(family_)).c_str(), limit);
     return Status::Ok();

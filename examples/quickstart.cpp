@@ -48,10 +48,13 @@ int main() {
               problem->graph().edge_count(),
               problem->CountRepairs().ToString().c_str());
 
-  problem->EnumerateRepairs([&](const DynamicBitset& repair) {
+  // The repairs are the Rep family, which reads no priority.
+  auto repairs =
+      PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
+  CHECK(repairs.ok()) << repairs.status().ToString();
+  for (const DynamicBitset& repair : *repairs) {
     std::printf("repair %s\n", repair.ToString().c_str());
-    return true;
-  });
+  }
 
   // A closed query: does apollo have a budget of at least 90?
   auto query = ParseQuery(

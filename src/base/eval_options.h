@@ -1,26 +1,29 @@
-// EvalOptions: the one options type of every CQA entry point
-// (cqa/planner.h) and of the server facade (server/session.h).
+// EvalOptions: the one options type of every public entry point that
+// runs work — the CQA planner (cqa/planner.h), its engines (cqa/cqa.h,
+// cqa/aggregation.h), the repair walk (core/families.h) and the server
+// facade (server/session.h). Only graph-level primitives (MisEngine,
+// ComponentProductEnumerator, MaskedMisSizeRange, ThreadPool::ParallelFor,
+// Snapshot::Derive) take a bare ExecutionContext* instead.
 //
 //   threads           sharding width of the enumeration tier
 //   force_tier        planner tier override
 //   deadline          per-call wall-clock budget; an ExecutionContext is
 //                     materialized on demand to enforce it
 //   limits            per-call ExecutionLimits (byte / DNF / repair-list
-//                     caps); the planner's DNF budget is
-//                     limits.max_dnf_disjuncts
+//                     caps)
 //   context           an externally owned ExecutionContext; when set it
-//                     wins and `deadline`/`limits` here are ignored (the
-//                     context already carries its own)
+//                     supersedes `deadline` and `limits` here (the context
+//                     already carries its own)
 //   prepared,         resident-server seams: a compiled query and a plan
 //   precomputed_plan  the caller already holds for the same inputs
 //
-// EvalContextScope turns an EvalOptions into the effective per-call
-// governance: it owns a fresh ExecutionContext exactly when the options
-// demand one (deadline armed or non-default limits, and no external
-// context), so ungoverned calls keep taking the zero-overhead paths
-// (context == nullptr all the way down). ParallelOptions (threads plus
-// that effective context) is the engine-internal form handed to core/
-// and graph/.
+// One rule decides governance: every cap is read through
+// EffectiveLimits() (the attached context's limits, else `limits`), and
+// every entry point resolves the context once through EvalContextScope
+// and hands the scope's options() down. A nested scope sees the resolved
+// context and adopts it, so one call builds at most one context, and
+// ungoverned calls keep taking the zero-overhead paths (context ==
+// nullptr all the way down).
 //
 // This header lives in base/ — below core/ and cqa/ — so that both the
 // engine layers and the server facade can name the same struct. CqaTier
@@ -34,7 +37,6 @@
 #include <optional>
 
 #include "base/exec_context.h"
-#include "base/thread_pool.h"
 
 namespace prefrep {
 
@@ -68,8 +70,8 @@ struct EvalOptions {
   std::optional<std::chrono::nanoseconds> deadline = std::nullopt;
 
   // Per-call resource limits (component-list bytes, DNF caps, repair-list
-  // cap). Defaults reproduce the historical constants; leaving them
-  // untouched keeps the call on the ungoverned fast path.
+  // cap). Leaving them at their defaults keeps the call on the ungoverned
+  // fast path. Read them through EffectiveLimits(), never directly.
   ExecutionLimits limits = {};
 
   // Externally owned context (cooperative cancel, shared governance).
@@ -84,7 +86,7 @@ struct EvalOptions {
   const PreparedQuery* prepared = nullptr;
 
   // A CqaPlan previously returned by ExplainPlan for the SAME (problem,
-  // priority, family, query, request, limits.max_dnf_disjuncts) inputs:
+  // priority, family, query, request, effective DNF caps) inputs:
   // the dispatch then skips re-planning (including the DNF pre-attempt).
   // Ignored when force_tier is set. Owned by the caller.
   const CqaPlan* precomputed_plan = nullptr;
@@ -96,44 +98,39 @@ struct EvalOptions {
            (deadline.has_value() || !(limits == ExecutionLimits{}));
   }
 
-  // The engine-internal view of these options, against `effective` (the
-  // external context or an EvalContextScope-owned one).
-  ParallelOptions Parallel(ExecutionContext* effective) const {
-    ParallelOptions parallel;
-    parallel.threads = threads;
-    parallel.context = effective;
-    return parallel;
+  // The limits that govern the call: the attached context's when there is
+  // one, else `limits`. Every cap in the library is read through here.
+  const ExecutionLimits& EffectiveLimits() const {
+    return context != nullptr ? context->limits() : limits;
   }
 };
 
-// Materializes the effective ExecutionContext for one call: the external
-// one when given, a scope-owned one when the options demand governance,
-// nullptr (ungoverned) otherwise. Stack-allocate next to the call.
+// Resolves the governance of one call: the external context when given, a
+// scope-owned one when the options demand governance, none (ungoverned)
+// otherwise. Stack-allocate next to the call and pass options() down.
 class EvalContextScope {
  public:
-  explicit EvalContextScope(const EvalOptions& options) {
-    if (options.context != nullptr) {
-      context_ = options.context;
-      return;
-    }
+  explicit EvalContextScope(const EvalOptions& options) : options_(options) {
     if (options.NeedsOwnContext()) {
       owned_.emplace(options.limits);
       if (options.deadline.has_value()) {
         owned_->SetDeadlineAfter(*options.deadline);
       }
-      context_ = &*owned_;
+      options_.context = &*owned_;
     }
   }
 
   EvalContextScope(const EvalContextScope&) = delete;
   EvalContextScope& operator=(const EvalContextScope&) = delete;
 
+  // The caller's options with `context` resolved.
+  const EvalOptions& options() const { return options_; }
   // May be nullptr (ungoverned call).
-  ExecutionContext* context() { return context_; }
+  ExecutionContext* context() const { return options_.context; }
 
  private:
   std::optional<ExecutionContext> owned_;
-  ExecutionContext* context_ = nullptr;
+  EvalOptions options_;
 };
 
 }  // namespace prefrep

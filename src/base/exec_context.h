@@ -4,7 +4,8 @@
 // long-running loop in the engine must be boundable: by wall-clock deadline,
 // by cooperative cancellation, and by memory/size budgets. ExecutionContext
 // bundles the three concerns behind one object that is threaded through
-// `ParallelOptions` (see thread_pool.h) into every enumeration engine:
+// `EvalOptions::context` (see eval_options.h) into every enumeration
+// engine:
 //
 //   - Deadline: a steady_clock time point; expiry latches kDeadlineExceeded.
 //   - Cancellation: `RequestCancel()` is lock-free and async-signal-safe
@@ -42,18 +43,17 @@
 
 namespace prefrep {
 
-// Per-context resource knobs. Defaults reproduce the historical constexpr
-// budgets exactly (kDefaultDnfDisjunctBudget, kDefaultDnfLiteralBudget,
-// and the 2^20 PreferredRepairs / AllRepairs list cap), so a default
-// context changes no behavior.
+// Per-context resource knobs: the only source of every cap. A call reads
+// them through EvalOptions::EffectiveLimits() (the attached context's,
+// else the options' own), so a default context changes no behavior.
 struct ExecutionLimits {
   // Bytes of materialized per-component repair lists admitted before the
   // enumeration falls back to streaming. The walk in core/families.cc
   // reads it from the context, or from a default ExecutionLimits when
   // none is attached.
   size_t component_list_budget_bytes = size_t{256} << 20;
-  // Ground/quantifier-free DNF expansion caps (was query/normal_form.h's
-  // kDefaultDnfDisjunctBudget / kDefaultDnfLiteralBudget).
+  // Ground/quantifier-free DNF expansion caps: the planner's tier-1
+  // admission check and the ground engines read the same two.
   size_t max_dnf_disjuncts = 65536;
   size_t max_dnf_literals = size_t{1} << 20;
   // Cap on materialized repair lists returned by Result-valued enumerators.
@@ -65,7 +65,7 @@ struct ExecutionLimits {
 
 // THE default repair-list cap (2^20): the single source of truth for the
 // `limit` default of every Result-valued enumerator (PreferredRepairs,
-// AllRepairs, denial/extension forms).
+// denial/extension forms).
 // Attached contexts override it per call via limits().max_repair_list.
 inline constexpr size_t kDefaultRepairListLimit =
     ExecutionLimits{}.max_repair_list;

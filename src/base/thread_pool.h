@@ -34,27 +34,10 @@ namespace prefrep {
 
 class ExecutionContext;
 
-// Threading knob shared by the enumeration / CQA entry points. threads <= 1
-// selects the serial path (the default: the pre-threaded code path with no
-// pool and no synchronization). threads > 1 bounds the workers of one
-// enumeration; results are identical to serial in either mode (pinned by
-// tests/parallel_enumeration_test.cc) because every engine instance stays
-// confined to one thread and the merge steps are commutative.
-//
-// `context`, when set, governs the whole call: engines poll it at step
-// boundaries, pool workers observe its cancellation token between tasks,
-// and byte budgets / DNF caps are drawn from its ExecutionLimits. Null means
-// ungoverned (the historical defaults).
-struct ParallelOptions {
-  int threads = 1;
-  ExecutionContext* context = nullptr;
-};
-
-// Worker count actually worth spawning for `task_count` independent tasks:
-// never more threads than tasks, never less than one.
-inline int EffectiveThreadCount(const ParallelOptions& options,
-                                size_t task_count) {
-  int threads = options.threads;
+// Worker count actually worth spawning for `task_count` independent tasks
+// when the caller asked for `threads` (EvalOptions::threads; <= 1 means
+// serial): never more threads than tasks, never less than one.
+inline int EffectiveThreadCount(int threads, size_t task_count) {
   if (threads < 1) threads = 1;
   if (task_count < static_cast<size_t>(threads)) {
     threads = static_cast<int>(task_count);

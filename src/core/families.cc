@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "base/failpoint.h"
+#include "base/thread_pool.h"
 #include "core/optimality.h"
 #include "graph/components.h"
 #include "graph/mis.h"
@@ -164,6 +165,24 @@ class CommonRepairEnumerator {
   std::unordered_set<MemoKey, MemoHash, MemoEq> visited_;
 };
 
+// X-repair checking against a priority already known to be over `graph`.
+bool IsMember(const ConflictGraph& graph, const Priority& priority,
+              RepairFamily family, const DynamicBitset& repair) {
+  switch (family) {
+    case RepairFamily::kAll:
+      return graph.IsMaximalIndependent(repair);
+    case RepairFamily::kLocal:
+      return IsLocallyOptimal(graph, priority, repair);
+    case RepairFamily::kSemiGlobal:
+      return IsSemiGloballyOptimal(graph, priority, repair);
+    case RepairFamily::kGlobal:
+      return IsGloballyOptimal(graph, priority, repair);
+    case RepairFamily::kCommon:
+      return IsCommonRepair(graph, priority, repair);
+  }
+  return false;
+}
+
 // Streams the members of `family` on one graph through `emit` with
 // O(search depth) memory. kGlobal certifies each repair by a nested
 // ≪-witness search with both levels on MisEngine and `context`, so the
@@ -181,7 +200,7 @@ bool StreamComponentFamily(const ConflictGraph& graph,
     case RepairFamily::kSemiGlobal:
       return MisEngine(graph, context)
           .Enumerate([&](const DynamicBitset& repair) {
-            return !IsPreferredRepair(graph, priority, family, repair) ||
+            return !IsMember(graph, priority, family, repair) ||
                    emit(repair);
           });
     case RepairFamily::kCommon:
@@ -279,15 +298,13 @@ bool MaterializeComponentFamily(const ConflictGraph& graph,
   return StreamComponentFamily(graph, priority, family, collect, context);
 }
 
-// The byte budget of one enumeration call's materialized lists: the
-// context's limit (its stats also record the charges), else the default
-// ExecutionLimits'.
-ResourceArbiter ListArbiter(ExecutionContext* context) {
-  if (context == nullptr) {
-    return ResourceArbiter(ExecutionLimits{}.component_list_budget_bytes);
-  }
-  return ResourceArbiter(context->limits().component_list_budget_bytes,
-                         &context->stats());
+// The byte budget of one enumeration call's materialized lists, read
+// through the one accessor; an attached context's stats record the
+// charges.
+ResourceArbiter ListArbiter(const EvalOptions& options) {
+  return ResourceArbiter(
+      options.EffectiveLimits().component_list_budget_bytes,
+      options.context != nullptr ? &options.context->stats() : nullptr);
 }
 
 // Whole-graph streaming with O(search depth) memory: the walk on a
@@ -296,11 +313,9 @@ ResourceArbiter ListArbiter(ExecutionContext* context) {
 // Debug failpoint marks every whole-graph stream). Emission order differs
 // from the product path; the set is equal.
 template <typename Callback>
-bool EnumeratePreferredRepairsStreaming(const ConflictGraph& graph,
-                                        const Priority& priority,
-                                        RepairFamily family,
-                                        Callback&& callback,
-                                        ExecutionContext* context) {
+bool StreamWholeGraph(const ConflictGraph& graph, const Priority& priority,
+                      RepairFamily family, Callback&& callback,
+                      ExecutionContext* context) {
   PREFREP_FAILPOINT("families.streaming_fallback");
   return StreamComponentFamily(graph, priority, family, callback, context);
 }
@@ -312,10 +327,11 @@ bool EnumeratePreferredRepairsStreaming(const ConflictGraph& graph,
 template <typename Emit>
 bool EnumerateFamilyOnGraph(const ConflictGraph& graph,
                             const Priority& priority, RepairFamily family,
-                            Emit&& emit, ExecutionContext* context) {
+                            Emit&& emit, const EvalOptions& options) {
+  ExecutionContext* context = options.context;
   if (family == RepairFamily::kGlobal) {
     std::vector<DynamicBitset> repairs;
-    ResourceArbiter arbiter = ListArbiter(context);
+    ResourceArbiter arbiter = ListArbiter(options);
     if (MaterializeComponentFamily(graph, priority, family, &repairs,
                                    &arbiter, context)) {
       for (const DynamicBitset& repair : repairs) {
@@ -328,8 +344,7 @@ bool EnumerateFamilyOnGraph(const ConflictGraph& graph,
     // Leaving the block releases the partial list before streaming — the
     // moment memory pressure is highest.
   }
-  return EnumeratePreferredRepairsStreaming(graph, priority, family, emit,
-                                            context);
+  return StreamWholeGraph(graph, priority, family, emit, context);
 }
 
 // Rep reads no priority, so kAll skips the projection (its priority may be
@@ -352,12 +367,13 @@ std::vector<Priority> LocalPriorities(
 // task threw.
 Status MaterializeLists(const ComponentDecomposition& decomposition,
                         const std::vector<Priority>& priorities,
-                        RepairFamily family, ExecutionContext* context,
+                        RepairFamily family, const EvalOptions& options,
                         ThreadPool* pool,
                         std::vector<std::vector<DynamicBitset>>* lists) {
+  ExecutionContext* context = options.context;
   const size_t count = decomposition.components().size();
   lists->assign(count, {});
-  ResourceArbiter arbiter = ListArbiter(context);
+  ResourceArbiter arbiter = ListArbiter(options);
   std::atomic<bool> overflow{false};
   const auto produce = [&](size_t c) {
     if (overflow.load(std::memory_order_relaxed)) return;
@@ -443,11 +459,12 @@ std::vector<ShardBox> PlanShards(
 // byte budget (on one pool when options.threads > 1), streams the whole
 // graph past the budget, and walks the product: one box in odometer order
 // on the calling thread for one walker, PlanShards boxes on the pool
-// otherwise. Returns OK, the context's latched status after an interrupt,
-// or the pool's status after a worker throw.
+// otherwise. `options` carry the resolved context. Returns OK, the
+// context's latched status after an interrupt, or the pool's status after
+// a worker throw.
 Status WalkPreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options, int workers,
+    const EvalOptions& options, int workers,
     const std::function<bool(int worker, const DynamicBitset& repair)>&
         visit) {
   ExecutionContext* context = options.context;
@@ -463,7 +480,7 @@ Status WalkPreferredRepairs(
     return visit(0, repair);
   };
   if (SpansOneComponent(graph)) {
-    EnumerateFamilyOnGraph(graph, priority, family, on_caller, context);
+    EnumerateFamilyOnGraph(graph, priority, family, on_caller, options);
     return finish(Status::Ok());
   }
   ComponentDecomposition decomposition(graph);
@@ -482,23 +499,23 @@ Status WalkPreferredRepairs(
           decomposition.Scatter(0, local, scratch);
           return visit(0, scratch);
         },
-        context);
+        options);
     return finish(Status::Ok());
   }
   // The pool serves materialization (sized to the component count when
   // it is all the pool does) and, for several walkers, the boxes.
   const int threads =
-      std::max(workers, EffectiveThreadCount(options, components.size()));
+      std::max(workers,
+               EffectiveThreadCount(options.threads, components.size()));
   std::unique_ptr<ThreadPool> pool =
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   std::vector<std::vector<DynamicBitset>> lists;
   Status materialized = MaterializeLists(decomposition, priorities, family,
-                                         context, pool.get(), &lists);
+                                         options, pool.get(), &lists);
   if (materialized.code() == StatusCode::kResourceExhausted) {
     lists = {};  // free before the fallback, when memory pressure peaks
     if (context == nullptr || !context->interrupted()) {
-      EnumeratePreferredRepairsStreaming(graph, priority, family, on_caller,
-                                         context);
+      StreamWholeGraph(graph, priority, family, on_caller, context);
     }
     return finish(Status::Ok());
   }
@@ -574,48 +591,27 @@ RepairFamily EffectiveFamily(const Priority& priority, RepairFamily family) {
   return PriorityIsEmpty(priority) ? RepairFamily::kAll : family;
 }
 
-bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
-                       RepairFamily family, const DynamicBitset& repair) {
-  switch (family) {
-    case RepairFamily::kAll:
-      return graph.IsMaximalIndependent(repair);
-    case RepairFamily::kLocal:
-      return IsLocallyOptimal(graph, priority, repair);
-    case RepairFamily::kSemiGlobal:
-      return IsSemiGloballyOptimal(graph, priority, repair);
-    case RepairFamily::kGlobal:
-      return IsGloballyOptimal(graph, priority, repair);
-    case RepairFamily::kCommon:
-      return IsCommonRepair(graph, priority, repair);
-  }
-  return false;
-}
-
-bool EnumeratePreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  bool complete = true;
-  Status walked = WalkPreferredRepairs(
-      graph, priority, family, options, /*workers=*/1,
-      [&](int /*worker*/, const DynamicBitset& repair) {
-        complete = callback(repair);
-        return complete;
-      });
-  return complete && walked.ok();
+Result<bool> IsPreferredRepair(const ConflictGraph& graph,
+                               const Priority& priority, RepairFamily family,
+                               const DynamicBitset& repair) {
+  std::optional<Priority> empty;
+  PREFREP_ASSIGN_OR_RETURN(const Priority* checked,
+                           PriorityOnGraph(graph, priority, family, &empty));
+  return IsMember(graph, *checked, family, repair);
 }
 
 Status ForEachPreferredRepair(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
+    const EvalOptions& options,
     const std::function<bool(int worker, const DynamicBitset& repair)>&
         visit) {
   std::optional<Priority> empty;
   PREFREP_ASSIGN_OR_RETURN(const Priority* checked,
                            PriorityOnGraph(graph, priority, family, &empty));
-  ExecutionContext* context = options.context;
+  EvalContextScope scope(options);
+  ExecutionContext* context = scope.context();
   return WalkPreferredRepairs(
-      graph, *checked, family, options, options.threads,
+      graph, *checked, family, scope.options(), options.threads,
       [&](int worker, const DynamicBitset& repair) {
         PREFREP_FAILPOINT("cqa.eval");
         if (context != nullptr) context->stats().AddRepairsExamined();
@@ -631,14 +627,11 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
                            PriorityOnGraph(graph, priority, family, &empty));
   EvalContextScope scope(options);
   ExecutionContext* context = scope.context();
-  size_t limit = options.limits.max_repair_list;
-  if (context != nullptr) {
-    limit = std::min(limit, context->limits().max_repair_list);
-  }
+  const size_t limit = scope.options().EffectiveLimits().max_repair_list;
   std::vector<DynamicBitset> repairs;
   bool complete = true;
   PREFREP_RETURN_IF_ERROR(WalkPreferredRepairs(
-      graph, *checked, family, options.Parallel(context), /*workers=*/1,
+      graph, *checked, family, scope.options(), /*workers=*/1,
       [&](int /*worker*/, const DynamicBitset& repair) {
         complete = repairs.size() < limit;
         if (!complete) return false;
@@ -659,15 +652,20 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 
 std::optional<ComponentFamilyLists> MaterializeComponentFamilyLists(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options) {
+    const EvalOptions& options) {
+  std::optional<Priority> empty;
+  Result<const Priority*> checked =
+      PriorityOnGraph(graph, priority, family, &empty);
+  if (!checked.ok()) return std::nullopt;
+  EvalContextScope scope(options);
   ComponentFamilyLists out{ComponentDecomposition(graph), {}};
-  const int threads =
-      EffectiveThreadCount(options, out.decomposition.components().size());
+  const int threads = EffectiveThreadCount(
+      options.threads, out.decomposition.components().size());
   std::unique_ptr<ThreadPool> pool =
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   Status materialized = MaterializeLists(
-      out.decomposition, LocalPriorities(out.decomposition, priority, family),
-      family, options.context, pool.get(), &out.choices);
+      out.decomposition, LocalPriorities(out.decomposition, **checked, family),
+      family, scope.options(), pool.get(), &out.choices);
   if (!materialized.ok()) return std::nullopt;
   return out;
 }

@@ -2,12 +2,12 @@
 // plus the unrestricted Rep (no priorities given).
 //
 // Every family is a product of per-component choice lists, and this
-// header owns the one walk over that product (core/families.cc).
-// EnumeratePreferredRepairs walks it on the calling thread;
-// ForEachPreferredRepair, which the tier-2 folds in src/cqa run over,
-// shards it across options.threads workers. Rep is the kAll family on
+// header owns the one walk over that product (core/families.cc) and its
+// two entry points: ForEachPreferredRepair streams it (sharded across
+// options.threads workers; the tier-2 folds in src/cqa run over it) and
+// PreferredRepairs lists it in odometer order. Rep is the kAll family on
 // the same walk, so every repair enumeration in the library goes through
-// it.
+// it and through its priority check.
 
 #ifndef PREFREP_CORE_FAMILIES_H_
 #define PREFREP_CORE_FAMILIES_H_
@@ -20,7 +20,6 @@
 #include "base/bitset.h"
 #include "base/eval_options.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "graph/components.h"
 #include "graph/conflict_graph.h"
 #include "priority/priority.h"
@@ -62,40 +61,25 @@ inline bool PriorityIsEmpty(const Priority& priority) {
 RepairFamily EffectiveFamily(const Priority& priority, RepairFamily family);
 
 // X-repair checking (problem (i) of §4.1): is `repair` — assumed to be a
-// repair — a member of family X under `priority`?
-bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
-                       RepairFamily family, const DynamicBitset& repair);
+// repair — a member of family X under `priority`? The priority is checked
+// as in ForEachPreferredRepair (Rep reads none).
+Result<bool> IsPreferredRepair(const ConflictGraph& graph,
+                               const Priority& priority, RepairFamily family,
+                               const DynamicBitset& repair);
 
-// Visits every repair of the family exactly once: the walk with one
-// worker. The callback returns false to stop early; returns true iff
-// enumeration completed. A connected graph or a single component streams
-// in place. Otherwise each component's list is materialized in its
+// The walk: calls visit(worker, repair) once per repair of the family,
+// with worker < max(1, options.threads) so callers size per-worker fold
+// state up front; visit returning false stops every worker. A connected
+// graph or a single component streams in place on the calling thread
+// (worker 0). Otherwise each component's list is materialized in its
 // compact universe under the byte budget, one engine per component on
-// options.threads workers, and the product streams through `callback` in
-// odometer order on the calling thread — the emitted sequence is
-// identical at every thread count. Lists over the budget fall back to
-// whole-graph streaming. Caveat at the edge of the budget: parallel G-Rep
-// materialization holds several unfiltered lists at once, so a transient
-// peak can trip the fallback where serial squeaks by — same repair *set*,
-// different order.
-//
-// `priority` must be built over `graph` (the Status entry points below
-// check it). Rep (kAll) reads no priority: a default-constructed Priority
-// is valid for it.
-bool EnumeratePreferredRepairs(
-    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
-    const std::function<bool(const DynamicBitset&)>& callback);
-
-// The tier-2 walk: calls visit(worker, repair) once per repair of the
-// family, with worker < max(1, options.threads) so callers size
-// per-worker fold state up front; visit returning false stops every
-// worker. The same walk as EnumeratePreferredRepairs with
-// options.threads workers: the materialized product is cut into
-// disjoint boxes walked concurrently; everything that streams runs on
-// the calling thread as worker 0. Folds whose merge is commutative
-// therefore give the serial result at every thread count. With a context
-// attached, every visited repair counts in its repairs_examined.
+// options.threads workers; lists over the budget fall back to whole-graph
+// streaming. The materialized product is walked in odometer order at
+// threads <= 1, and cut into disjoint boxes walked concurrently
+// otherwise, so folds whose merge is commutative give the serial result
+// at every thread count; a caller that needs the order passes
+// threads = 1 or takes PreferredRepairs. With a context attached, every
+// visited repair counts in its repairs_examined.
 //
 // For every family but Rep, a priority with arcs built over another graph
 // (other vertex count, or an arc on no conflict edge) is
@@ -107,15 +91,18 @@ bool EnumeratePreferredRepairs(
 // propagates.
 [[nodiscard]] Status ForEachPreferredRepair(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
-    const ParallelOptions& options,
+    const EvalOptions& options,
     const std::function<bool(int worker, const DynamicBitset& repair)>& visit);
 
-// Materializes the family. Threads, deadline and the list cap all come
-// from `options`; the cap is options.limits.max_repair_list (clamped to
-// options.context's max_repair_list when an external context is
-// attached). Past the cap it fails with kResourceExhausted; an
+// Materializes the family in odometer order, the same sequence at every
+// thread count (options.threads only fans out materialization). Past the
+// effective max_repair_list it fails with kResourceExhausted; an
 // interrupted context fails with its kCancelled / kDeadlineExceeded
 // status instead. The priority is checked as in ForEachPreferredRepair.
+// Caveat at the edge of the byte budget: parallel G-Rep materialization
+// holds several unfiltered lists at once, so a transient peak can trip
+// the streaming fallback where serial squeaks by — same repair *set*,
+// different order.
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const EvalOptions& options = {});
@@ -129,15 +116,15 @@ struct ComponentFamilyLists {
 };
 
 // Materializes every component's family list, fanning components out
-// across options.threads workers. Returns nullopt when the lists exceed
-// the byte budget (options.context's limit, else ExecutionLimits{}'s) or
-// when the context was interrupted. A graph with no non-singleton
-// component yields empty `choices`; its unique repair is
-// decomposition.isolated().
+// across options.threads workers. Returns nullopt when the priority fails
+// the check of ForEachPreferredRepair, when the lists exceed the
+// effective component_list_budget_bytes, or when the context was
+// interrupted. A graph with no non-singleton component yields empty
+// `choices`; its unique repair is decomposition.isolated().
 [[nodiscard]] std::optional<ComponentFamilyLists>
 MaterializeComponentFamilyLists(const ConflictGraph& graph,
                                 const Priority& priority, RepairFamily family,
-                                const ParallelOptions& options);
+                                const EvalOptions& options);
 
 }  // namespace prefrep
 

@@ -20,11 +20,11 @@ Result<bool> SatisfiesNonEmptiness(const ConflictGraph& graph,
                                    const Priority& priority,
                                    RepairFamily family) {
   bool found = false;
-  EnumeratePreferredRepairs(graph, priority, family, {},
-                            [&found](const DynamicBitset&) {
-                              found = true;
-                              return false;  // one witness suffices
-                            });
+  PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
+      graph, priority, family, {}, [&found](int, const DynamicBitset&) {
+        found = true;
+        return false;  // one witness suffices
+      }));
   return found;
 }
 

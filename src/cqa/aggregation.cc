@@ -103,7 +103,7 @@ Result<AggregateRange> AggregateConsistentRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
-    const ParallelOptions& options) try {
+    const EvalOptions& options) try {
   PREFREP_ASSIGN_OR_RETURN(const Relation* rel,
                            problem.db().relation(relation));
   int attr = 0;
@@ -162,7 +162,7 @@ Result<AggregateRange> AggregateConsistentRange(
 
 Result<AggregateRange> CountStarRange(const RepairProblem& problem,
                                       std::string_view relation,
-                                      ExecutionContext* context) {
+                                      const EvalOptions& options) {
   PREFREP_ASSIGN_OR_RETURN(int rel_index,
                            problem.db().RelationIndex(relation));
   DynamicBitset relation_mask = problem.db().RelationMask(rel_index);
@@ -170,10 +170,11 @@ Result<AggregateRange> CountStarRange(const RepairProblem& problem,
   // Repairs decompose over connected components; the minimum (maximum)
   // repair size restricted to the relation is the sum of per-component
   // minima (maxima).
+  EvalContextScope scope(options);
   PREFREP_ASSIGN_OR_RETURN(
       MisSizeRange sizes,
       MaskedMisSizeRange(ComponentDecomposition(problem.graph()),
-                         relation_mask, context));
+                         relation_mask, scope.context()));
   AggregateRange range;
   range.has_value = true;
   range.lo = static_cast<double>(sizes.lo);

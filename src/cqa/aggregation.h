@@ -18,8 +18,8 @@
 #include <string>
 #include <string_view>
 
+#include "base/eval_options.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "core/families.h"
 #include "priority/priority.h"
 #include "repair/repair.h"
@@ -57,23 +57,24 @@ struct AggregateRange {
 // certain-answer engines do, each worker folding its own range, and the
 // min/max merge makes the range bit-for-bit the serial one. SUM and AVG
 // accumulate in 128 bits, so int64 inputs cannot overflow them.
-// `options.context`, when set, is polled throughout the walk; expiry/cancel
-// surfaces as the context's latched kCancelled / kDeadlineExceeded status,
-// never a range over a prefix of the repairs.
+// The options' context (or the one their deadline/limits call for) is
+// polled throughout the walk; expiry/cancel surfaces as its latched
+// kCancelled / kDeadlineExceeded status, never a range over a prefix of
+// the repairs.
 Result<AggregateRange> AggregateConsistentRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
-    const ParallelOptions& options = {});
+    const EvalOptions& options = {});
 
 // Polynomial special case: the COUNT(*) range of `relation` under plain
 // Rep. Repair sizes decompose over connected components of the conflict
 // graph: the range is the sum of per-component [min, max] maximal-
-// independent-set sizes restricted to the relation. `context`, when set,
+// independent-set sizes restricted to the relation. The options' context
 // is polled per component (and inside the per-component MIS search).
 Result<AggregateRange> CountStarRange(const RepairProblem& problem,
                                       std::string_view relation,
-                                      ExecutionContext* context = nullptr);
+                                      const EvalOptions& options = {});
 
 }  // namespace prefrep
 

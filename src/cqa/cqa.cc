@@ -29,10 +29,9 @@ void IntersectInPlace(std::set<Tuple>* keep, const std::set<Tuple>& other) {
 
 // One copy of the compiled query per walk worker; the last takes over
 // `prepared` itself, so a serial walk copies nothing.
-std::vector<PreparedQuery> WorkerQueries(PreparedQuery prepared,
-                                         const ParallelOptions& options) {
+std::vector<PreparedQuery> WorkerQueries(PreparedQuery prepared, int threads) {
   std::vector<PreparedQuery> queries(
-      static_cast<size_t>(std::max(1, options.threads)) - 1, prepared);
+      static_cast<size_t>(std::max(1, threads)) - 1, prepared);
   queries.push_back(std::move(prepared));
   return queries;
 }
@@ -55,7 +54,7 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Priority& priority,
                                               RepairFamily family,
                                               PreparedQuery prepared,
-                                              ParallelOptions options) try {
+                                              const EvalOptions& options) try {
   if (!prepared.is_closed()) {
     return Status::InvalidArgument(
         "consistent answers need a closed query (prepared query has free "
@@ -65,7 +64,7 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
   // shared mask, so the verdict is independent of which worker saw what;
   // once both are set no repair can change it and every worker stops.
   std::vector<PreparedQuery> queries =
-      WorkerQueries(std::move(prepared), options);
+      WorkerQueries(std::move(prepared), options.threads);
   std::vector<Status> errors(queries.size(), Status::Ok());
   std::atomic<uint32_t> seen{0};
   PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
@@ -98,7 +97,7 @@ Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                const Priority& priority,
                                                RepairFamily family,
                                                PreparedQuery prepared,
-                                               ParallelOptions options) try {
+                                               const EvalOptions& options) try {
   // Each worker intersects the answer sets of the repairs it visits; set
   // intersection is commutative and associative, so intersecting the
   // partials in any order equals the serial running intersection. A
@@ -109,7 +108,7 @@ Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
     bool any = false;
   };
   std::vector<PreparedQuery> queries =
-      WorkerQueries(std::move(prepared), options);
+      WorkerQueries(std::move(prepared), options.threads);
   std::vector<Status> errors(queries.size(), Status::Ok());
   std::vector<Partial> partials(queries.size());
   PREFREP_RETURN_IF_ERROR(ForEachPreferredRepair(
@@ -250,25 +249,11 @@ Result<bool> NoRepairSatisfiesAnyDisjunct(
   return true;
 }
 
-// Clamps a caller-supplied DNF cap to the context's limit.
-size_t EffectiveDnfDisjunctCap(size_t max_dnf_disjuncts,
-                               const ExecutionContext* context) {
-  if (context == nullptr) return max_dnf_disjuncts;
-  return std::min(max_dnf_disjuncts, context->limits().max_dnf_disjuncts);
-}
-
-size_t EffectiveDnfLiteralCap(const ExecutionContext* context) {
-  if (context == nullptr) return kDefaultDnfLiteralBudget;
-  return std::min(kDefaultDnfLiteralBudget,
-                  context->limits().max_dnf_literals);
-}
-
 }  // namespace
 
 Result<bool> GroundConsistentAnswer(const RepairProblem& problem,
                                     const Query& query,
-                                    size_t max_dnf_disjuncts,
-                                    ExecutionContext* context) {
+                                    const EvalOptions& options) {
   PREFREP_RETURN_IF_ERROR(ValidateQuery(problem.db(), query));
   if (!query.IsGround() || !query.IsQuantifierFree()) {
     return Status::InvalidArgument(
@@ -276,18 +261,18 @@ Result<bool> GroundConsistentAnswer(const RepairProblem& problem,
         "use PlannedConsistentAnswer for " +
         query.ToString());
   }
+  EvalContextScope scope(options);
+  const ExecutionLimits& limits = scope.options().EffectiveLimits();
   std::unique_ptr<Query> negated = Query::Not(query.Clone());
   PREFREP_ASSIGN_OR_RETURN(
       std::vector<GroundDisjunct> dnf,
-      GroundDnf(*negated, EffectiveDnfDisjunctCap(max_dnf_disjuncts, context),
-                EffectiveDnfLiteralCap(context)));
-  return NoRepairSatisfiesAnyDisjunct(problem, dnf, context);
+      GroundDnf(*negated, limits.max_dnf_disjuncts, limits.max_dnf_literals));
+  return NoRepairSatisfiesAnyDisjunct(problem, dnf, scope.context());
 }
 
 Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
                                                const Query& query,
-                                               size_t max_dnf_disjuncts,
-                                               ExecutionContext* context) {
+                                               const EvalOptions& options) {
   if (!query.IsQuantifierFree()) {
     return Status::InvalidArgument(
         "GroundConsistentOpenAnswers needs a quantifier-free query");
@@ -306,12 +291,14 @@ Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
   // each candidate row only substitutes its bindings into the disjunct
   // templates (instead of re-cloning, re-NNFing and re-DNFing the query
   // per row).
+  EvalContextScope scope(options);
+  ExecutionContext* context = scope.context();
+  const ExecutionLimits& limits = scope.options().EffectiveLimits();
   std::unique_ptr<Query> negated = Query::Not(query.Clone());
   PREFREP_ASSIGN_OR_RETURN(
       std::vector<DisjunctTemplate> negated_dnf,
-      QuantifierFreeDnf(*negated,
-                        EffectiveDnfDisjunctCap(max_dnf_disjuncts, context),
-                        EffectiveDnfLiteralCap(context)));
+      QuantifierFreeDnf(*negated, limits.max_dnf_disjuncts,
+                        limits.max_dnf_literals));
   OpenAnswer certain;
   certain.variables = candidates.variables;
   std::map<std::string, Value> bindings;
@@ -339,16 +326,16 @@ Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
 
 Result<CqaVerdict> GroundConsistentVerdict(const RepairProblem& problem,
                                            const Query& query,
-                                           size_t max_dnf_disjuncts,
-                                           ExecutionContext* context) {
+                                           const EvalOptions& options) {
+  EvalContextScope scope(options);
   PREFREP_ASSIGN_OR_RETURN(
       bool certainly_true,
-      GroundConsistentAnswer(problem, query, max_dnf_disjuncts, context));
+      GroundConsistentAnswer(problem, query, scope.options()));
   if (certainly_true) return CqaVerdict::kCertainlyTrue;
   std::unique_ptr<Query> negated = Query::Not(query.Clone());
   PREFREP_ASSIGN_OR_RETURN(
       bool certainly_false,
-      GroundConsistentAnswer(problem, *negated, max_dnf_disjuncts, context));
+      GroundConsistentAnswer(problem, *negated, scope.options()));
   if (certainly_false) return CqaVerdict::kCertainlyFalse;
   return CqaVerdict::kUndetermined;
 }

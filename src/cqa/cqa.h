@@ -16,19 +16,23 @@
 // quantifier-free* queries, GroundConsistentAnswer implements the
 // polynomial conflict-graph algorithm (Chomicki–Marcinkowski; first row
 // of Fig. 5).
+//
+// Every engine takes one EvalOptions; its context, deadline and limits
+// govern the call as described in base/eval_options.h, so the DNF caps
+// of the ground engines are EffectiveLimits()'s — the same two the
+// planner's tier-1 admission check reads.
 
 #ifndef PREFREP_CQA_CQA_H_
 #define PREFREP_CQA_CQA_H_
 
 #include <string_view>
 
+#include "base/eval_options.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "core/families.h"
 #include "priority/priority.h"
 #include "query/ast.h"
 #include "query/evaluator.h"
-#include "query/normal_form.h"
 #include "query/prepared.h"
 #include "repair/repair.h"
 
@@ -55,7 +59,7 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Priority& priority,
                                               RepairFamily family,
                                               PreparedQuery prepared,
-                                              ParallelOptions options = {});
+                                              const EvalOptions& options = {});
 
 // Tier-2 engine for open queries, planner-free; same contract for
 // `prepared`. Each walk worker intersects the answer sets of the repairs
@@ -66,30 +70,27 @@ Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                const Priority& priority,
                                                RepairFamily family,
                                                PreparedQuery prepared,
-                                               ParallelOptions options = {});
+                                               const EvalOptions& options = {});
 
 // Polynomial-time consistent answers for ground quantifier-free queries
 // under the plain Rep semantics: true iff the query holds in every repair.
 // Negates the query, converts to DNF, and decides per disjunct whether
 // some repair satisfies it via a bounded witness search over conflict
 // neighborhoods (data-polynomial for a fixed query). An adversarially
-// nested query whose DNF exceeds `max_dnf_disjuncts` fails with
-// kResourceExhausted (the planner then falls back to enumeration).
-//
-// `context`, when set, clamps the DNF caps to its ExecutionLimits and is
-// polled once per disjunct (and per candidate row in the open form);
-// expiry/cancel surfaces as the context's latched status.
-Result<bool> GroundConsistentAnswer(
-    const RepairProblem& problem, const Query& query,
-    size_t max_dnf_disjuncts = kDefaultDnfDisjunctBudget,
-    ExecutionContext* context = nullptr);
+// nested query whose DNF exceeds the effective max_dnf_disjuncts or
+// max_dnf_literals fails with kResourceExhausted (the planner then falls
+// back to enumeration). The context is polled once per disjunct (and per
+// candidate row in the open form); expiry/cancel surfaces as its latched
+// status.
+Result<bool> GroundConsistentAnswer(const RepairProblem& problem,
+                                    const Query& query,
+                                    const EvalOptions& options = {});
 
 // Full three-valued verdict computed with two GroundConsistentAnswer
-// calls (on Q and not Q).
-Result<CqaVerdict> GroundConsistentVerdict(
-    const RepairProblem& problem, const Query& query,
-    size_t max_dnf_disjuncts = kDefaultDnfDisjunctBudget,
-    ExecutionContext* context = nullptr);
+// calls (on Q and not Q) under one context.
+Result<CqaVerdict> GroundConsistentVerdict(const RepairProblem& problem,
+                                           const Query& query,
+                                           const EvalOptions& options = {});
 
 // Polynomial consistent answers for *open* negation-free quantifier-free
 // queries under plain Rep: the candidate answers are computed on the full
@@ -98,8 +99,7 @@ Result<CqaVerdict> GroundConsistentVerdict(
 // GroundConsistentAnswer.
 Result<OpenAnswer> GroundConsistentOpenAnswers(
     const RepairProblem& problem, const Query& query,
-    size_t max_dnf_disjuncts = kDefaultDnfDisjunctBudget,
-    ExecutionContext* context = nullptr);
+    const EvalOptions& options = {});
 
 }  // namespace prefrep
 

@@ -51,19 +51,21 @@ std::string FamilyNote(const CqaPlan& plan) {
   return std::string(RepairFamilyName(plan.requested_family));
 }
 
-// True iff the tier-1 engine's DNF conversions for this request fit the
-// budget. Query-size-dependent work only (the conversion is capped at
-// the budget itself), so planning stays data-independent.
+// True iff the tier-1 engine's DNF conversions for this request fit both
+// caps the engine will run under. Query-size-dependent work only (the
+// conversion is capped at the caps themselves), so planning stays
+// data-independent.
 bool DnfFitsBudget(const Query& query, CqaRequest request,
-                   size_t max_dnf_disjuncts) {
-  std::unique_ptr<Query> negated = Query::Not(query.Clone());
-  if (!QuantifierFreeDnf(*negated, max_dnf_disjuncts).ok()) return false;
-  if (request == CqaRequest::kVerdict) {
-    // GroundConsistentVerdict may also DNF the un-negated query (for the
-    // certainly-false test).
-    if (!QuantifierFreeDnf(query, max_dnf_disjuncts).ok()) return false;
-  }
-  return true;
+                   const ExecutionLimits& limits) {
+  const auto fits = [&limits](const Query& q) {
+    return QuantifierFreeDnf(q, limits.max_dnf_disjuncts,
+                             limits.max_dnf_literals)
+        .ok();
+  };
+  // GroundConsistentVerdict may also DNF the un-negated query (for the
+  // certainly-false test).
+  return fits(*Query::Not(query.Clone())) &&
+         (request != CqaRequest::kVerdict || fits(query));
 }
 
 }  // namespace
@@ -93,7 +95,7 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
   if (plan.effective_family == RepairFamily::kAll) {
     if (request == CqaRequest::kVerdict && shape.ground &&
         shape.quantifier_free) {
-      if (DnfFitsBudget(query, request, options.limits.max_dnf_disjuncts)) {
+      if (DnfFitsBudget(query, request, options.EffectiveLimits())) {
         plan.tier = CqaTier::kGroundFastPath;
         plan.reason = FamilyNote(plan) +
                       "; ground quantifier-free query -> polynomial "
@@ -106,7 +108,7 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
     }
     if (request == CqaRequest::kOpenAnswers && shape.quantifier_free &&
         shape.negation_free) {
-      if (DnfFitsBudget(query, request, options.limits.max_dnf_disjuncts)) {
+      if (DnfFitsBudget(query, request, options.EffectiveLimits())) {
         plan.tier = CqaTier::kGroundFastPath;
         plan.reason = FamilyNote(plan) +
                       "; quantifier-free negation-free query -> monotone "
@@ -203,6 +205,7 @@ Result<T> PlanAndRun(const RepairProblem& problem, const Priority& priority,
     }
   }
   EvalContextScope scope(options);
+  const EvalOptions& governed = scope.options();
   ExecutionContext* context = scope.context();
   if (context != nullptr && context->interrupted()) {
     return context->StatusWithStats();
@@ -214,7 +217,7 @@ Result<T> PlanAndRun(const RepairProblem& problem, const Priority& priority,
   CqaPlan plan = (!forced && options.precomputed_plan != nullptr)
                      ? *options.precomputed_plan
                      : ExplainPlan(problem, priority, family, query, kRequest,
-                                   options);
+                                   governed);
   if (forced) {
     PREFREP_RETURN_IF_ERROR(CheckForcedTier(problem, plan, query, kRequest));
   }
@@ -232,20 +235,20 @@ Result<T> PlanAndRun(const RepairProblem& problem, const Priority& priority,
       }
     }
     case CqaTier::kGroundFastPath: {
-      const size_t budget = options.limits.max_dnf_disjuncts;
       Result<T> result = [&] {
         if constexpr (kVerdict) {
-          return GroundConsistentVerdict(problem, query, budget, context);
+          return GroundConsistentVerdict(problem, query, governed);
         } else {
-          return GroundConsistentOpenAnswers(problem, query, budget, context);
+          return GroundConsistentOpenAnswers(problem, query, governed);
         }
       }();
       if (forced || result.ok() ||
           result.status().code() != StatusCode::kResourceExhausted) {
         return result;
       }
-      // Runtime fallback: the DNF blew the budget after all. ExplainPlan
-      // pre-checks the conversion, so this is belt-and-braces.
+      // Runtime fallback: the DNF blew the caps after all. ExplainPlan
+      // checks the conversion under the same caps, so only a stale
+      // precomputed_plan (made under looser caps) lands here.
       plan.tier = CqaTier::kEnumeration;
       plan.reason = FamilyNote(plan) +
                     "; DNF budget exceeded at runtime -> enumeration";
@@ -264,12 +267,10 @@ Result<T> PlanAndRun(const RepairProblem& problem, const Priority& priority,
                            OwnPrepared(problem, query, options.prepared));
   if constexpr (kVerdict) {
     return EnumeratedConsistentAnswer(problem, priority, enumerate_as,
-                                      std::move(prepared),
-                                      options.Parallel(context));
+                                      std::move(prepared), governed);
   } else {
     return EnumeratedConsistentAnswers(problem, priority, enumerate_as,
-                                       std::move(prepared),
-                                       options.Parallel(context));
+                                       std::move(prepared), governed);
   }
 }
 
@@ -337,12 +338,12 @@ Result<AggregateRange> PlannedAggregateRange(
   }
   if (executed != nullptr) *executed = plan;
   if (plan.tier == CqaTier::kGroundFastPath) {
-    return CountStarRange(problem, relation, context);
+    return CountStarRange(problem, relation, scope.options());
   }
   RepairFamily enumerate_as =
       forced ? plan.requested_family : plan.effective_family;
   return AggregateConsistentRange(problem, priority, enumerate_as, relation,
-                                  attribute, fn, options.Parallel(context));
+                                  attribute, fn, scope.options());
 }
 
 }  // namespace prefrep

@@ -25,10 +25,10 @@
 // The Planned* functions below are THE consistent-query-answering entry
 // points: one per answer kind (verdict, open answers, aggregate range),
 // each taking one EvalOptions. They plan and execute, reporting the tier
-// that actually ran (a tier-1 plan whose DNF conversion blows the budget
-// falls back to tier 2 at runtime). ExplainPlan exposes the decision
-// without executing, so tests, benches, and the shell can assert which
-// tier fires. The Session facade (server/session.h) adds caching on top.
+// that actually ran (a stale precomputed tier-1 plan whose DNF blows the
+// caps in force falls back to tier 2 at runtime). ExplainPlan exposes the
+// decision without executing, so tests, benches, and the shell can
+// assert which tier fires. The Session facade (server/session.h) adds caching on top.
 //
 // Equivalence of the tiers is pinned by the randomized differential
 // suite in tests/planner_test.cc: planner-forced fast paths against
@@ -84,14 +84,16 @@ struct CqaPlan {
 };
 
 // Kept only for the serving benchmark in servebench/, whose sources are
-// frozen; nothing else may use this name.
+// frozen; nothing else may use these names.
 using CqaPlannerOptions = EvalOptions;
+using ParallelOptions = EvalOptions;
 
 // Classifies (query shape, family, priority shape, instance shape)
 // without touching the repair space. Deterministic and cheap: the only
 // non-O(query) work is the conflict-count check and, for would-be tier-1
 // plans, the DNF conversion attempt (exponential in the fixed query
-// size, capped by the budget — never data-dependent).
+// size, capped by both DNF caps of options.EffectiveLimits(), the caps
+// the ground engines then run under — never data-dependent).
 CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
                     RepairFamily family, const Query& query,
                     CqaRequest request, const EvalOptions& options = {});

@@ -10,7 +10,7 @@
 // lists, whole or cut into boxes (EnumerateSlices). The one walk that
 // materializes the lists under the byte budget and drives the odometer —
 // on the calling thread or box by box on worker threads — is
-// core/families.cc's (EnumeratePreferredRepairs, ForEachPreferredRepair).
+// core/families.cc's (ForEachPreferredRepair, PreferredRepairs).
 
 #ifndef PREFREP_GRAPH_COMPONENTS_H_
 #define PREFREP_GRAPH_COMPONENTS_H_

@@ -6,7 +6,7 @@
 // typically one component's compact subgraph. Whole-graph enumeration of
 // the repair space (decomposition, per-component lists under the byte
 // budget, the lazy product and the streaming fallback) is the Rep family
-// of core/families.h: EnumeratePreferredRepairs with RepairFamily::kAll.
+// of core/families.h: ForEachPreferredRepair with RepairFamily::kAll.
 // Counting multiplies per-component counts in exact BigUint arithmetic
 // (Example 4 exhibits 2^n repairs).
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "base/exec_context.h"
 #include "base/status.h"
 #include "query/ast.h"
 #include "relational/tuple.h"
@@ -39,23 +40,21 @@ struct GroundLiteral {
 
 using GroundDisjunct = std::vector<GroundLiteral>;
 
-// Default budgets for the DNF conversion: the blowup is exponential in
-// the (fixed) query size, not in the data, but an adversarially nested
-// query can still balloon — both the disjunct count and the total
-// literal count (disjunct count x disjunct width) are capped so the
-// conversion degrades to kResourceExhausted instead of OOM, mirroring
-// the enumeration engine's materialization byte budget. The CQA planner
-// reacts to kResourceExhausted by falling back to enumeration.
-inline constexpr size_t kDefaultDnfDisjunctBudget = 65536;
-inline constexpr size_t kDefaultDnfLiteralBudget = size_t{1} << 20;
+// The DNF conversion's blowup is exponential in the (fixed) query size,
+// not in the data, but an adversarially nested query can still balloon:
+// both the disjunct count and the total literal count (disjunct count x
+// disjunct width) are capped, by default at ExecutionLimits{}'s caps, so
+// the conversion degrades to kResourceExhausted instead of OOM. The CQA
+// planner reacts to kResourceExhausted by falling back to enumeration.
 
 // Converts a ground quantifier-free query to disjunctive normal form.
 // Fails with kInvalidArgument on non-ground/quantified input and with
 // kResourceExhausted if the DNF would exceed `max_disjuncts` disjuncts
 // or `max_literals` literals in total.
 Result<std::vector<GroundDisjunct>> GroundDnf(
-    const Query& query, size_t max_disjuncts = kDefaultDnfDisjunctBudget,
-    size_t max_literals = kDefaultDnfLiteralBudget);
+    const Query& query,
+    size_t max_disjuncts = ExecutionLimits{}.max_dnf_disjuncts,
+    size_t max_literals = ExecutionLimits{}.max_dnf_literals);
 
 // A DNF literal that may still contain variables: a (possibly negated)
 // atom over terms, or a comparison over terms. The variable-free payload
@@ -77,8 +76,9 @@ using DisjunctTemplate = std::vector<LiteralTemplate>;
 // loop-invariant skeleton of GroundConsistentOpenAnswers: it is computed
 // once per query, and only InstantiateDisjunct runs per candidate answer.
 Result<std::vector<DisjunctTemplate>> QuantifierFreeDnf(
-    const Query& query, size_t max_disjuncts = kDefaultDnfDisjunctBudget,
-    size_t max_literals = kDefaultDnfLiteralBudget);
+    const Query& query,
+    size_t max_disjuncts = ExecutionLimits{}.max_dnf_disjuncts,
+    size_t max_literals = ExecutionLimits{}.max_dnf_literals);
 
 // Grounds `disjunct` by substituting `bindings` for its variables; fails
 // with kInvalidArgument if any variable is unbound.

@@ -1,8 +1,5 @@
 #include "repair/repair.h"
 
-#include "base/eval_options.h"
-#include "core/families.h"
-
 namespace prefrep {
 
 Result<RepairProblem> RepairProblem::Create(
@@ -27,19 +24,6 @@ RepairProblem RepairProblem::FromPrecomputedGraph(
   problem.fds_ = std::move(fds);
   problem.graph_ = std::move(graph);
   return problem;
-}
-
-bool RepairProblem::EnumerateRepairs(
-    const std::function<bool(const DynamicBitset&)>& callback) const {
-  return EnumeratePreferredRepairs(graph_, Priority(), RepairFamily::kAll, {},
-                                   callback);
-}
-
-Result<std::vector<DynamicBitset>> RepairProblem::AllRepairs(
-    size_t limit) const {
-  EvalOptions options;
-  options.limits.max_repair_list = limit;
-  return PreferredRepairs(graph_, Priority(), RepairFamily::kAll, options);
 }
 
 }  // namespace prefrep

@@ -1,17 +1,18 @@
 // Repairs (Definition 1): maximal subsets of the database consistent with
 // the functional dependencies == maximal independent sets of the conflict
 // graph. RepairProblem bundles a database, its FDs and the derived conflict
-// graph — the common input of everything in src/core and src/cqa.
+// graph — the common input of everything in src/core and src/cqa. The
+// repairs themselves are the Rep family of core/families.h: stream them
+// with ForEachPreferredRepair or list them with PreferredRepairs under
+// RepairFamily::kAll (which reads no priority).
 
 #ifndef PREFREP_REPAIR_REPAIR_H_
 #define PREFREP_REPAIR_REPAIR_H_
 
-#include <functional>
 #include <vector>
 
 #include "base/biguint.h"
 #include "base/bitset.h"
-#include "base/exec_context.h"
 #include "base/status.h"
 #include "constraints/conflicts.h"
 #include "constraints/fd.h"
@@ -50,15 +51,6 @@ class RepairProblem {
   bool IsRepair(const DynamicBitset& subset) const {
     return graph_.IsMaximalIndependent(subset);
   }
-
-  // Visits every repair (the Rep family of core/families.h); callback
-  // returns false to stop. Returns true iff enumeration completed.
-  bool EnumerateRepairs(
-      const std::function<bool(const DynamicBitset&)>& callback) const;
-
-  // All repairs, failing with kResourceExhausted beyond `limit`.
-  Result<std::vector<DynamicBitset>> AllRepairs(
-      size_t limit = kDefaultRepairListLimit) const;
 
   // Exact repair count (2^n for Example 4's r_n).
   BigUint CountRepairs() const { return CountMaximalIndependentSets(graph_); }

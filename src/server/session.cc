@@ -55,16 +55,20 @@ std::string ResultKey(CqaRequest kind, RepairFamily family,
 }
 
 // Plan-cache key: the planner reads the priority only through its
-// emptiness (EffectiveFamily), so plans are shared across all non-empty
-// priorities of one (query, family, kind, DNF budget).
+// emptiness (EffectiveFamily) and the limits only through the two DNF
+// caps in force, so plans are shared across all non-empty priorities of
+// one (query, family, kind, DNF caps).
 std::string PlanKey(CqaRequest kind, RepairFamily family, bool priority_empty,
-                    size_t max_dnf_disjuncts, const std::string& query_text) {
+                    const ExecutionLimits& limits,
+                    const std::string& query_text) {
   std::string key;
-  key.reserve(query_text.size() + 24);
+  key.reserve(query_text.size() + 32);
   key += KindTag(kind);
   key += static_cast<char>('0' + static_cast<int>(family));
   key += priority_empty ? 'e' : 'p';
-  key += std::to_string(max_dnf_disjuncts);
+  key += std::to_string(limits.max_dnf_disjuncts);
+  key += '/';
+  key += std::to_string(limits.max_dnf_literals);
   key += '|';
   key += query_text;
   return key;
@@ -314,7 +318,7 @@ Result<T> Session::EvalCached(const Query& query, const Priority& priority,
   const std::string result_key = ResultKey(kKind, family, priority, query_text);
   const std::string plan_key =
       PlanKey(kKind, family, PriorityIsEmpty(priority),
-              options.limits.max_dnf_disjuncts, query_text);
+              options.EffectiveLimits(), query_text);
   std::optional<CqaPlan> plan;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);

@@ -8,8 +8,10 @@
 //     master through a private copy — copying a compiled query is far
 //     cheaper than re-validating, type-inferring and index-hashing it.
 //   - Plan cache: one planner decision per (query, family, request kind,
-//     priority emptiness, DNF budget); repeat calls skip re-planning,
-//     including the query-exponential DNF pre-attempt.
+//     priority emptiness, DNF caps in force — EvalOptions::
+//     EffectiveLimits(), so an attached context's caps key its plans);
+//     repeat calls skip re-planning, including the query-exponential DNF
+//     pre-attempt.
 //   - Result cache: memoized verdicts / certain-answer sets keyed by the
 //     EXACT inputs that determine them — request kind, family, query text
 //     and the priority's full arc list (never a hash: a collision would

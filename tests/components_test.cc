@@ -99,13 +99,13 @@ SetOfSets BruteForceFamily(const ConflictGraph& g, const Priority& p,
 SetOfSets EnumeratedFamily(const ConflictGraph& g, const Priority& p,
                            RepairFamily family) {
   SetOfSets out;
-  bool complete = EnumeratePreferredRepairs(
-      g, p, family, {}, [&out](const DynamicBitset& r) {
+  Status walked = ForEachPreferredRepair(
+      g, p, family, {}, [&out](int /*worker*/, const DynamicBitset& r) {
         EXPECT_TRUE(out.insert(r.ToVector()).second)
             << "duplicate repair " << r.ToString();
         return true;
       });
-  EXPECT_TRUE(complete);
+  EXPECT_TRUE(walked.ok()) << walked.ToString();
   return out;
 }
 
@@ -358,9 +358,14 @@ TEST(ComponentsTest, EarlyStopPropagatesThroughFamilies) {
   Priority empty = Priority::Empty(problem->graph());
   for (RepairFamily family : kAllFamilies) {
     int seen = 0;
-    bool complete = EnumeratePreferredRepairs(
+    bool complete = true;
+    Status walked = ForEachPreferredRepair(
         problem->graph(), empty, family, {},
-        [&seen](const DynamicBitset&) { return ++seen < 7; });
+        [&](int /*worker*/, const DynamicBitset&) {
+          complete = ++seen < 7;
+          return complete;
+        });
+    ASSERT_TRUE(walked.ok()) << walked.ToString();
     EXPECT_FALSE(complete) << RepairFamilyName(family);
     EXPECT_EQ(seen, 7) << RepairFamilyName(family);
   }

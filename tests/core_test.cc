@@ -425,7 +425,7 @@ TEST(CommonRepairTest, MatchesExplicitRunEnumeration) {
     ASSERT_TRUE(common.ok());
     std::set<DynamicBitset> common_set(common->begin(), common->end());
 
-    auto all = problem->AllRepairs();
+    auto all = PreferredRepairs(g, Priority(), RepairFamily::kAll);
     ASSERT_TRUE(all.ok());
     for (const DynamicBitset& r : *all) {
       EXPECT_EQ(IsCommonRepair(g, p, r), common_set.contains(r))
@@ -439,7 +439,8 @@ TEST(CommonRepairTest, EmptyPriorityMakesEveryRepairCommon) {
   auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
-  auto all = problem->AllRepairs();
+  auto all =
+      PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
   ASSERT_TRUE(all.ok());
   for (const DynamicBitset& r : *all) {
     EXPECT_TRUE(IsCommonRepair(problem->graph(), empty, r));
@@ -464,7 +465,7 @@ TEST(FamiliesTest, IsPreferredRepairAgreesWithEnumerationEverywhere) {
     ASSERT_TRUE(problem.ok());
     const ConflictGraph& g = problem->graph();
     Priority p = RandomDagPriority(rng, g, 0.5);
-    auto all = problem->AllRepairs();
+    auto all = PreferredRepairs(g, Priority(), RepairFamily::kAll);
     ASSERT_TRUE(all.ok());
     for (RepairFamily family : kAllFamilies) {
       auto preferred = PreferredRepairs(g, p, family);
@@ -472,7 +473,7 @@ TEST(FamiliesTest, IsPreferredRepairAgreesWithEnumerationEverywhere) {
       std::set<DynamicBitset> preferred_set(preferred->begin(),
                                             preferred->end());
       for (const DynamicBitset& r : *all) {
-        EXPECT_EQ(IsPreferredRepair(g, p, family, r),
+        EXPECT_EQ(*IsPreferredRepair(g, p, family, r),
                   preferred_set.contains(r))
             << RepairFamilyName(family) << " trial " << trial;
       }
@@ -494,7 +495,7 @@ TEST(FamiliesTest, IsPreferredRepairAgreesWithEnumerationEverywhere) {
       std::set<DynamicBitset> preferred_set(preferred->begin(),
                                             preferred->end());
       for (const DynamicBitset& r : *all) {
-        EXPECT_EQ(IsPreferredRepair(g, p, family, r),
+        EXPECT_EQ(*IsPreferredRepair(g, p, family, r),
                   preferred_set.contains(r))
             << RepairFamilyName(family) << " on " << sizes.size()
             << " components";
@@ -512,16 +513,46 @@ TEST(FamiliesTest, GlobalRepairCheckingSearchesEachComponent) {
   ConflictGraph g = MakeComponentPathsGraph(rng, std::vector<int>(12, 6));
   Priority p = RandomRankingPriority(rng, g, 0.7);
   DynamicBitset member;
-  EnumeratePreferredRepairs(g, p, RepairFamily::kGlobal, {},
-                            [&member](const DynamicBitset& r) {
-                              member = r;
-                              return false;
-                            });
+  Status walked = ForEachPreferredRepair(
+      g, p, RepairFamily::kGlobal, {},
+      [&member](int /*worker*/, const DynamicBitset& r) {
+        member = r;
+        return false;
+      });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
   ASSERT_EQ(member.size(), g.vertex_count());
   auto start = std::chrono::steady_clock::now();
   EXPECT_TRUE(IsGloballyOptimal(g, p, member));
-  EXPECT_TRUE(IsPreferredRepair(g, p, RepairFamily::kGlobal, member));
+  EXPECT_TRUE(*IsPreferredRepair(g, p, RepairFamily::kGlobal, member));
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(FamiliesTest, RepairCheckingRejectsPriorityOverAnotherGraph) {
+  // A priority built over an 8-vertex graph, asked about a 12-vertex one
+  // (e.g. a parent snapshot's priority on a derived child): every family
+  // that reads the priority rejects it instead of indexing past its end.
+  Rng rng(1808);
+  ConflictGraph small = MakeComponentPathsGraph(rng, {4, 4});
+  ConflictGraph large = MakeComponentPathsGraph(rng, {4, 4, 4});
+  ASSERT_EQ(small.vertex_count(), 8);
+  ASSERT_EQ(large.vertex_count(), 12);
+  Priority p = RandomRankingPriority(rng, small, 0.7);
+  ASSERT_GT(p.arc_count(), 0);
+  auto repairs = PreferredRepairs(large, Priority(), RepairFamily::kAll);
+  ASSERT_TRUE(repairs.ok());
+  for (const DynamicBitset& r : *repairs) {
+    for (RepairFamily family : kAllFamilies) {
+      Result<bool> member = IsPreferredRepair(large, p, family, r);
+      if (family == RepairFamily::kAll) {
+        ASSERT_TRUE(member.ok()) << member.status().ToString();
+        EXPECT_TRUE(*member);
+        continue;
+      }
+      ASSERT_FALSE(member.ok()) << RepairFamilyName(family);
+      EXPECT_EQ(member.status().code(), StatusCode::kInvalidArgument)
+          << RepairFamilyName(family);
+    }
+  }
 }
 
 TEST(FamiliesTest, EnumerationShortCircuits) {
@@ -530,9 +561,14 @@ TEST(FamiliesTest, EnumerationShortCircuits) {
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
   int seen = 0;
-  bool complete = EnumeratePreferredRepairs(
+  bool complete = true;
+  Status walked = ForEachPreferredRepair(
       problem->graph(), empty, RepairFamily::kLocal, {},
-      [&seen](const DynamicBitset&) { return ++seen < 5; });
+      [&](int /*worker*/, const DynamicBitset&) {
+        complete = ++seen < 5;
+        return complete;
+      });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 5);
 }
@@ -545,9 +581,14 @@ TEST(FamiliesTest, GlobalEnumerationShortCircuits) {
   ASSERT_TRUE(problem.ok());
   Priority empty = Priority::Empty(problem->graph());
   int seen = 0;
-  bool complete = EnumeratePreferredRepairs(
+  bool complete = true;
+  Status walked = ForEachPreferredRepair(
       problem->graph(), empty, RepairFamily::kGlobal, {},
-      [&seen](const DynamicBitset&) { return ++seen < 3; });
+      [&](int /*worker*/, const DynamicBitset&) {
+        complete = ++seen < 3;
+        return complete;
+      });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 3);
 }

@@ -39,11 +39,9 @@ std::set<DynamicBitset> Example6Family(const ConflictGraph& graph,
     out.insert(CleanDatabaseTotal(graph, priority));
     return out;
   }
-  EnumeratePreferredRepairs(graph, Priority(), RepairFamily::kAll, {},
-                            [&](const DynamicBitset& r) {
-                              out.insert(r);
-                              return true;
-                            });
+  auto all = PreferredRepairs(graph, Priority(), RepairFamily::kAll);
+  EXPECT_TRUE(all.ok()) << all.status().ToString();
+  if (all.ok()) out.insert(all->begin(), all->end());
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "core/families.h"
 #include "denial/denial.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -161,11 +162,10 @@ TEST(ConflictHypergraphTest, GraphCaseAgreesWithBinaryMachinery) {
   ASSERT_TRUE(hyperedges.ok());
   ConflictHypergraph hg(inst.db->tuple_count(), *hyperedges);
 
-  std::set<DynamicBitset> from_graph;
-  problem->EnumerateRepairs([&](const DynamicBitset& r) {
-    from_graph.insert(r);
-    return true;
-  });
+  auto repairs =
+      PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
+  ASSERT_TRUE(repairs.ok()) << repairs.status().ToString();
+  std::set<DynamicBitset> from_graph(repairs->begin(), repairs->end());
   std::set<DynamicBitset> from_hypergraph;
   EnumerateHypergraphRepairs(hg, [&](const DynamicBitset& r) {
     from_hypergraph.insert(r);

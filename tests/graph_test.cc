@@ -33,8 +33,14 @@ ConflictGraph Cycle(int n) {
 // The repair space is the Rep family of core/families.h.
 bool EnumerateMis(const ConflictGraph& g,
                   const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumeratePreferredRepairs(g, Priority(), RepairFamily::kAll, {},
-                                   callback);
+  bool complete = true;
+  Status walked = ForEachPreferredRepair(
+      g, Priority(), RepairFamily::kAll, {},
+      [&](int /*worker*/, const DynamicBitset& s) {
+        complete = callback(s);
+        return complete;
+      });
+  return complete && walked.ok();
 }
 
 std::set<std::vector<int>> MisSets(const ConflictGraph& g) {

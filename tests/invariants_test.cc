@@ -10,6 +10,7 @@
 
 #include <set>
 
+#include "core/families.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "repair/repair.h"
@@ -102,7 +103,8 @@ TEST(MaskedEvalTest, MatchesInducedDatabaseForMonotoneQueries) {
     GeneratedInstance inst = MakeRandomInstance(rng, 12, 2, 3, 1);
     auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
     ASSERT_TRUE(problem.ok());
-    auto repairs = problem->AllRepairs();
+    auto repairs =
+        PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
     ASSERT_TRUE(repairs.ok());
     for (const DynamicBitset& repair : *repairs) {
       Database induced = inst.db->Induce(repair);
@@ -158,7 +160,8 @@ TEST(RepairMaterializationTest, InducedRepairsAreConsistentAndMaximal) {
     GeneratedInstance inst = MakeRandomInstance(rng, 14, 3, 3, 2);
     auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
     ASSERT_TRUE(problem.ok());
-    auto repairs = problem->AllRepairs();
+    auto repairs =
+        PreferredRepairs(problem->graph(), Priority(), RepairFamily::kAll);
     ASSERT_TRUE(repairs.ok());
     for (const DynamicBitset& repair : *repairs) {
       Database induced = inst.db->Induce(repair);

@@ -142,13 +142,13 @@ TEST_F(PaperExamples, Example3PreferredRepairsAreR1AndR2) {
        {RepairFamily::kLocal, RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
         RepairFamily::kCommon}) {
     EXPECT_TRUE(
-        IsPreferredRepair(problem_->graph(), *priority_, family, r1))
+        *IsPreferredRepair(problem_->graph(), *priority_, family, r1))
         << RepairFamilyName(family);
     EXPECT_TRUE(
-        IsPreferredRepair(problem_->graph(), *priority_, family, r2))
+        *IsPreferredRepair(problem_->graph(), *priority_, family, r2))
         << RepairFamilyName(family);
     EXPECT_FALSE(
-        IsPreferredRepair(problem_->graph(), *priority_, family, r3))
+        *IsPreferredRepair(problem_->graph(), *priority_, family, r3))
         << RepairFamilyName(family);
   }
 }

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,14 +57,17 @@ struct EnumerationRun {
   bool complete = false;
 };
 
+// The listed family in PreferredRepairs order, which must not depend on
+// options.threads.
 EnumerationRun RunFamily(const ConflictGraph& graph, const Priority& priority,
-                         RepairFamily family, const ParallelOptions& options) {
+                         RepairFamily family, const EvalOptions& options) {
   EnumerationRun run;
-  run.complete = EnumeratePreferredRepairs(
-      graph, priority, family, options, [&run](const DynamicBitset& repair) {
-        run.sequence.push_back(repair.ToVector());
-        return true;
-      });
+  auto repairs = PreferredRepairs(graph, priority, family, options);
+  run.complete = repairs.ok();
+  if (!repairs.ok()) return run;
+  for (const DynamicBitset& repair : *repairs) {
+    run.sequence.push_back(repair.ToVector());
+  }
   return run;
 }
 
@@ -98,11 +102,11 @@ TEST(ParallelEnumerationTest, FamiliesMatchSerialExactlyOnRandomInstances) {
     Priority priority = RandomPriority(rng, graph, trial);
     for (RepairFamily family : kAllFamilies) {
       EnumerationRun serial =
-          RunFamily(graph, priority, family, ParallelOptions{1});
+          RunFamily(graph, priority, family, EvalOptions{.threads = 1});
       EXPECT_TRUE(serial.complete);
       for (int threads : kThreadCounts) {
         EnumerationRun parallel =
-            RunFamily(graph, priority, family, ParallelOptions{threads});
+            RunFamily(graph, priority, family, EvalOptions{.threads = threads});
         EXPECT_EQ(parallel.complete, serial.complete);
         EXPECT_EQ(parallel.sequence, serial.sequence)
             << RepairFamilyName(family) << " trial " << trial << " threads "
@@ -150,7 +154,7 @@ TEST(ParallelEnumerationTest, MisEnumerationMatchesSerial) {
     Priority empty = Priority::Empty(graph);
     for (int mode = 0; mode < 3; ++mode) {
       ExecutionContext context(tiny);
-      ParallelOptions options{mode == 1 ? 4 : 1};
+      EvalOptions options{.threads = mode == 1 ? 4 : 1};
       if (mode == 2) options.context = &context;
       EnumerationRun with_default =
           RunFamily(graph, Priority(), RepairFamily::kAll, options);
@@ -335,7 +339,7 @@ TEST(ParallelEnumerationTest, SingleComponentWalkStreamsAtEveryThreadCount) {
       failpoint::ScopedFailpoint fp("families.materialize", [] {});
       std::atomic<uint64_t> count{0};
       Status walked = ForEachPreferredRepair(
-          graph, priority, family, ParallelOptions{threads},
+          graph, priority, family, EvalOptions{.threads = threads},
           [&count](int /*worker*/, const DynamicBitset&) {
             count.fetch_add(1, std::memory_order_relaxed);
             return true;
@@ -357,13 +361,27 @@ TEST(ParallelEnumerationTest, EarlyStopPropagatesAtEveryThreadCount) {
   ConflictGraph graph = MakeComponentPathsGraph(rng, {3, 3, 3, 3});
   Priority empty = Priority::Empty(graph);
   for (RepairFamily family : kAllFamilies) {
-    for (int threads : kThreadCounts) {
+    for (int threads : {1, 2, 4, 8}) {
+      // The walk admits exactly 7 of the 16 repairs: every visit after the
+      // 7th returns false. The worker that stops the walk makes no further
+      // visit, and each other worker at most the one it is in when the
+      // stop lands, so serially exactly 7 visits happen.
+      std::mutex mu;
       int seen = 0;
-      bool complete = EnumeratePreferredRepairs(
-          graph, empty, family, ParallelOptions{threads},
-          [&seen](const DynamicBitset&) { return ++seen < 7; });
-      EXPECT_FALSE(complete) << RepairFamilyName(family);
+      int visits = 0;
+      Status walked = ForEachPreferredRepair(
+          graph, empty, family, EvalOptions{.threads = threads},
+          [&](int /*worker*/, const DynamicBitset&) {
+            std::lock_guard<std::mutex> lock(mu);
+            ++visits;
+            if (seen < 7) ++seen;
+            return seen < 7;
+          });
+      ASSERT_TRUE(walked.ok()) << walked.ToString();
       EXPECT_EQ(seen, 7) << RepairFamilyName(family);
+      EXPECT_GE(visits, 7) << RepairFamilyName(family);
+      EXPECT_LE(visits, 6 + threads)
+          << RepairFamilyName(family) << " threads " << threads;
     }
   }
 }
@@ -403,9 +421,9 @@ TEST(ParallelEnumerationStressTest, StressShardedEnumerationAndCqa) {
   for (RepairFamily family :
        {RepairFamily::kAll, RepairFamily::kLocal, RepairFamily::kCommon}) {
     EnumerationRun serial =
-        RunFamily(graph, priority, family, ParallelOptions{1});
+        RunFamily(graph, priority, family, EvalOptions{.threads = 1});
     EnumerationRun parallel =
-        RunFamily(graph, priority, family, ParallelOptions{8});
+        RunFamily(graph, priority, family, EvalOptions{.threads = 8});
     ASSERT_EQ(parallel.sequence, serial.sequence) << RepairFamilyName(family);
   }
 

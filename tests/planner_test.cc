@@ -285,6 +285,46 @@ TEST(PlannerBudgetTest, LiteralBudgetCapsDnfConversion) {
   EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(PlannerBudgetTest, ExplainPlanReadsTheCapsInForce) {
+  // The tier-1 admission check reads the caps the ground engine runs
+  // under: an attached context's, else options.limits, and the literal
+  // cap as well as the disjunct cap. Negating the conjunction gives a
+  // DNF of 2 one-literal disjuncts, which the default caps admit.
+  Rng rng(1);
+  GeneratedInstance inst = MakeComponentsInstance(rng, {3, 3});
+  RepairProblem problem = MustProblem(inst);
+  Priority empty = Priority::Empty(problem.graph());
+  auto query = MustParse("R(0, 0, 0) and R(1, 1, 1)");
+  CqaPlan roomy = ExplainPlan(problem, empty, RepairFamily::kAll, *query,
+                              CqaRequest::kVerdict);
+  ASSERT_EQ(roomy.tier, CqaTier::kGroundFastPath) << roomy.ToString();
+  auto reference =
+      PlannedConsistentAnswer(problem, empty, RepairFamily::kAll, *query);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  ExecutionLimits one_disjunct;
+  one_disjunct.max_dnf_disjuncts = 1;
+  ExecutionContext context(one_disjunct);
+  EvalOptions governed;
+  governed.context = &context;
+  EvalOptions one_literal;
+  one_literal.limits.max_dnf_literals = 1;
+  for (const EvalOptions& options : {governed, one_literal}) {
+    CqaPlan plan = ExplainPlan(problem, empty, RepairFamily::kAll, *query,
+                               CqaRequest::kVerdict, options);
+    EXPECT_EQ(plan.tier, CqaTier::kEnumeration) << plan.ToString();
+    EXPECT_NE(plan.reason.find("budget"), std::string::npos) << plan.reason;
+    // The explained plan is the plan that runs: no runtime fallback.
+    CqaPlan executed;
+    auto verdict = PlannedConsistentAnswer(
+        problem, empty, RepairFamily::kAll, *query, options, &executed);
+    ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+    EXPECT_EQ(executed.tier, CqaTier::kEnumeration);
+    EXPECT_EQ(executed.reason, plan.reason);
+    EXPECT_EQ(*verdict, *reference);
+  }
+}
+
 // ----------------------------------------------- forced-tier contract --
 
 TEST(PlannerForceTest, ForcedTiersValidateEligibility) {

@@ -335,14 +335,15 @@ TEST(PreparedEvalEquivalence, PlannedConsistentAnswerMatchesReferenceLoop) {
 
       bool seen_true = false;
       bool seen_false = false;
-      EnumeratePreferredRepairs(problem->graph(), priority, family, {},
-                                [&](const DynamicBitset& repair) {
-                                  auto holds =
-                                      EvalClosed(*instance.db, &repair, *query);
-                                  CHECK(holds.ok());
-                                  (*holds ? seen_true : seen_false) = true;
-                                  return true;
-                                });
+      Status walked = ForEachPreferredRepair(
+          problem->graph(), priority, family, {},
+          [&](int /*worker*/, const DynamicBitset& repair) {
+            auto holds = EvalClosed(*instance.db, &repair, *query);
+            CHECK(holds.ok());
+            (*holds ? seen_true : seen_false) = true;
+            return true;
+          });
+      ASSERT_TRUE(walked.ok()) << walked.ToString();
       CqaVerdict expected = seen_true && seen_false
                                 ? CqaVerdict::kUndetermined
                                 : (seen_false ? CqaVerdict::kCertainlyFalse

@@ -4,18 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "core/families.h"
 #include "repair/repair.h"
 #include "workload/generators.h"
 
 namespace prefrep {
 namespace {
 
+// The repairs are the Rep family, which reads no priority.
+Result<std::vector<DynamicBitset>> AllRepairs(const RepairProblem& problem) {
+  return PreferredRepairs(problem.graph(), Priority(), RepairFamily::kAll);
+}
+
 TEST(RepairProblemTest, ConsistentDatabaseHasItselfAsOnlyRepair) {
   GeneratedInstance inst = MakeKeyGroupsInstance(3, 1);  // no conflicts
   auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
   ASSERT_TRUE(problem.ok());
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   ASSERT_EQ(repairs->size(), 1u);
   EXPECT_EQ((*repairs)[0], inst.db->AllTuples());
@@ -47,7 +54,7 @@ TEST(RepairProblemTest, Example4RepairsAreChoiceFunctions) {
   GeneratedInstance rn = MakeRnInstance(3);
   auto problem = RepairProblem::Create(rn.db.get(), rn.fds);
   ASSERT_TRUE(problem.ok());
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   EXPECT_EQ(repairs->size(), 8u);
   for (const DynamicBitset& r : *repairs) {
@@ -62,7 +69,7 @@ TEST(RepairProblemTest, IsRepairMatchesEnumeration) {
   GeneratedInstance inst = MakeChainInstance(6);
   auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
   ASSERT_TRUE(problem.ok());
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   std::set<DynamicBitset> repair_set(repairs->begin(), repairs->end());
   // Every enumerated repair passes IsRepair; strict subsets do not.
@@ -82,7 +89,7 @@ TEST(RepairProblemTest, MgrScenarioHasThePaperThreeRepairs) {
   MgrScenario s = MakeMgrScenario();
   auto problem = RepairProblem::Create(s.db.get(), s.fds);
   ASSERT_TRUE(problem.ok());
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   std::set<DynamicBitset> actual(repairs->begin(), repairs->end());
   int n = s.db->tuple_count();
@@ -97,7 +104,7 @@ TEST(RepairProblemTest, MaterializeRepairIsConsistent) {
   MgrScenario s = MakeMgrScenario();
   auto problem = RepairProblem::Create(s.db.get(), s.fds);
   ASSERT_TRUE(problem.ok());
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   for (const DynamicBitset& r : *repairs) {
     Database repaired = problem->MaterializeRepair(r);
@@ -112,7 +119,7 @@ TEST(RepairProblemTest, KeyGroupsYieldOneTuplePerGroup) {
   ASSERT_TRUE(problem.ok());
   // 4 choices per group, 3 groups.
   EXPECT_EQ(problem->CountRepairs().ToString(), "64");
-  auto repairs = problem->AllRepairs();
+  auto repairs = AllRepairs(*problem);
   ASSERT_TRUE(repairs.ok());
   for (const DynamicBitset& r : *repairs) EXPECT_EQ(r.Count(), 3);
 }
@@ -131,9 +138,14 @@ TEST(RepairProblemTest, EnumerationShortCircuits) {
   auto problem = RepairProblem::Create(rn.db.get(), rn.fds);
   ASSERT_TRUE(problem.ok());
   int visited = 0;
-  bool complete = problem->EnumerateRepairs([&visited](const DynamicBitset&) {
-    return ++visited < 100;
-  });
+  bool complete = true;
+  Status walked = ForEachPreferredRepair(
+      problem->graph(), Priority(), RepairFamily::kAll, {},
+      [&](int /*worker*/, const DynamicBitset&) {
+        complete = ++visited < 100;
+        return complete;
+      });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
   EXPECT_FALSE(complete);
   EXPECT_EQ(visited, 100);
 }
@@ -144,7 +156,7 @@ TEST(RepairProblemTest, RandomInstancesAllRepairsValid) {
     GeneratedInstance inst = MakeRandomInstance(rng, 14, 3, 3, 2);
     auto problem = RepairProblem::Create(inst.db.get(), inst.fds);
     ASSERT_TRUE(problem.ok());
-    auto repairs = problem->AllRepairs();
+    auto repairs = AllRepairs(*problem);
     ASSERT_TRUE(repairs.ok());
     EXPECT_GE(repairs->size(), 1u);
     for (const DynamicBitset& r : *repairs) {

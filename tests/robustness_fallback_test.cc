@@ -1,6 +1,6 @@
-// Budget-exhaustion fallback chains, pinned with failpoints (satellite of
-// the resource-governance PR): a tier-1 plan whose context-clamped DNF
-// budget blows at runtime must fall back to tier-2 enumeration; an
+// Budget-exhaustion fallback chains, pinned with failpoints: a tier-1
+// plan whose DNF blows the context's caps at runtime (a stale
+// precomputed plan) must fall back to tier-2 enumeration; an
 // enumeration whose component lists blow the context's byte budget must
 // fall back to whole-graph streaming (same repair *set*, pinned via the
 // "families.streaming_fallback" failpoint); and a worker throw anywhere
@@ -53,11 +53,13 @@ TEST(RobustnessFallbackTest, ContextDnfClampForcesTier2RuntimeFallback) {
   RepairProblem problem = MustProblem(inst);
   ASSERT_GT(problem.graph().edge_count(), 0u);
   Priority empty = Priority::Empty(problem.graph());
-  // Negating the conjunction yields a 2-disjunct DNF; the *planner's*
-  // budget admits it (so ExplainPlan still plans tier 1), but the
-  // context clamps the engine's cap to 1 disjunct, so the ground engine
-  // fails with kResourceExhausted at runtime and the planner must fall
-  // back to enumeration.
+  // Negating the conjunction yields a 2-disjunct DNF; the default caps
+  // admit it (so ExplainPlan plans tier 1), but the context caps the
+  // engine at 1 disjunct. ExplainPlan under that context would plan
+  // tier 2 itself, so the runtime fallback is reached only through a
+  // stale precomputed plan made under the looser caps: the ground engine
+  // fails with kResourceExhausted and the planner must fall back to
+  // enumeration.
   auto query = MustParse("R(0, 0, 0) and R(1, 1, 1)");
   ASSERT_TRUE(query->IsClosed());
   CqaPlan plan = ExplainPlan(problem, empty, RepairFamily::kAll, *query,
@@ -73,6 +75,7 @@ TEST(RobustnessFallbackTest, ContextDnfClampForcesTier2RuntimeFallback) {
   ExecutionContext context(limits);
   EvalOptions options;
   options.context = &context;
+  options.precomputed_plan = &plan;
   CqaPlan executed;
   auto governed = PlannedConsistentAnswer(problem, empty, RepairFamily::kAll,
                                           *query, options, &executed);

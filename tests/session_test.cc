@@ -150,6 +150,43 @@ TEST(SessionCacheTest, ResultCacheKeysOnExactPriorityArcs) {
   EXPECT_EQ(session.cache_stats().result_hits, 2u);
 }
 
+TEST(SessionCacheTest, GovernedPlanIsNotReplayedForUngovernedAsk) {
+  // The DNF caps in force key the plan cache: a tier-2 plan made under a
+  // context capped at 1 disjunct must not be replayed for an ungoverned
+  // Ask, whose default caps admit the polynomial tier 1. The second Ask
+  // uses another priority so that it misses the result cache.
+  Rng rng(1);
+  GeneratedInstance inst = MakeComponentsInstance(rng, {3, 3});
+  Session session(MustSnapshot(inst));
+  const ConflictGraph& graph = session.snapshot().graph();
+  Priority first = RandomRankingPriority(rng, graph, 1.0);
+  Priority second = RandomRankingPriority(rng, graph, 0.5);
+  ASSERT_GT(first.arc_count(), 0);
+  ASSERT_GT(second.arc_count(), 0);
+  ASSERT_NE(first.arcs(), second.arcs());
+  auto query = MustParse("R(0, 0, 0) and R(1, 1, 1)");
+
+  ExecutionLimits limits;
+  limits.max_dnf_disjuncts = 1;
+  ExecutionContext context(limits);
+  EvalOptions governed;
+  governed.context = &context;
+  CqaPlan executed;
+  auto capped =
+      session.Ask(*query, first, RepairFamily::kAll, governed, &executed);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(executed.tier, CqaTier::kEnumeration) << executed.ToString();
+
+  auto ungoverned =
+      session.Ask(*query, second, RepairFamily::kAll, {}, &executed);
+  ASSERT_TRUE(ungoverned.ok()) << ungoverned.status().ToString();
+  EXPECT_EQ(executed.tier, CqaTier::kGroundFastPath) << executed.ToString();
+  EXPECT_EQ(*ungoverned, *capped);  // Rep reads no priority
+  SessionCacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.result_hits, 0u);
+  EXPECT_EQ(stats.plan_hits, 0u) << stats.ToString();
+}
+
 TEST(SessionCacheTest, ForcedTierBypassesResultCache) {
   GeneratedInstance inst = MakeRnInstance(2);
   Session session(MustSnapshot(inst));

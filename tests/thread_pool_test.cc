@@ -25,13 +25,13 @@
 namespace prefrep {
 namespace {
 
-TEST(ParallelOptionsTest, EffectiveThreadCountClamps) {
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{1}, 100), 1);
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{0}, 100), 1);
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{-3}, 100), 1);
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{4}, 100), 4);
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{8}, 3), 3);
-  EXPECT_EQ(EffectiveThreadCount(ParallelOptions{8}, 0), 1);
+TEST(EffectiveThreadCountTest, Clamps) {
+  EXPECT_EQ(EffectiveThreadCount(1, 100), 1);
+  EXPECT_EQ(EffectiveThreadCount(0, 100), 1);
+  EXPECT_EQ(EffectiveThreadCount(-3, 100), 1);
+  EXPECT_EQ(EffectiveThreadCount(4, 100), 4);
+  EXPECT_EQ(EffectiveThreadCount(8, 3), 3);
+  EXPECT_EQ(EffectiveThreadCount(8, 0), 1);
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
