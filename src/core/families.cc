@@ -165,6 +165,105 @@ class CommonRepairEnumerator {
   std::unordered_set<MemoKey, MemoHash, MemoEq> visited_;
 };
 
+// The four X-repair checks (§3), each against a priority already known to
+// be over `graph` (IsPreferredRepair checks it); each expects `repair` to
+// satisfy graph.IsMaximalIndependent().
+
+// L: no x ∈ r' and y ∈ r \ r' with y ≻ x and (r' \ {x}) ∪ {y} consistent.
+// PTIME (Theorem 4).
+bool IsLocallyOptimal(const ConflictGraph& graph, const Priority& priority,
+                      const DynamicBitset& repair) {
+  DCHECK(graph.IsMaximalIndependent(repair));
+  int n = graph.vertex_count();
+  DynamicBitset inside(n);
+  for (int y = 0; y < n; ++y) {
+    if (repair.Test(y)) continue;
+    // (r' \ {x}) ∪ {y} is consistent iff y's only neighbor inside r' is x.
+    inside.AssignAnd(graph.Neighbors(y), repair);
+    int x = inside.FirstSetBit();
+    if (x < 0) continue;  // cannot happen for maximal repairs
+    if (inside.NextSetBit(x + 1) >= 0) continue;  // more than one neighbor
+    if (priority.Dominates(y, x)) return false;
+  }
+  return true;
+}
+
+// S: no nonempty X ⊆ r' and y with ∀x∈X. y ≻ x and (r' \ X) ∪ {y}
+// consistent. Equivalently: no y outside r' dominating all its neighbors
+// in r' (§4.2). PTIME (Corollary 1).
+bool IsSemiGloballyOptimal(const ConflictGraph& graph,
+                           const Priority& priority,
+                           const DynamicBitset& repair) {
+  DCHECK(graph.IsMaximalIndependent(repair));
+  int n = graph.vertex_count();
+  DynamicBitset inside(n);
+  for (int y = 0; y < n; ++y) {
+    if (repair.Test(y)) continue;
+    // X must equal n(y) ∩ r' (smaller X leaves a conflict with y; larger X
+    // adds tuples y does not conflict with, which y cannot dominate).
+    inside.AssignAnd(graph.Neighbors(y), repair);
+    if (inside.None()) continue;
+    if (inside.IsSubsetOf(priority.DominatedBy(y))) return false;
+  }
+  return true;
+}
+
+// G via Prop. 5: no repair r'' != r' with r' ≪ r''. A witness narrows to
+// one conflict component: take it on one component where it differs from
+// `repair` and `repair` elsewhere. Every tuple dropped lies in that
+// component, and its dominator there (arcs never cross components) is
+// kept. So each component's repairs are searched by a MisEngine under its
+// projected priority, never the product of them: exponential in the
+// largest component, not in the whole repair space (co-NP-complete in
+// general, Theorem 5).
+bool IsGloballyOptimal(const ConflictGraph& graph, const Priority& priority,
+                       const DynamicBitset& repair) {
+  DCHECK(graph.IsMaximalIndependent(repair));
+  const ComponentDecomposition& decomposition = graph.decomposition();
+  std::vector<Priority> local = ProjectPriorities(decomposition, priority);
+  for (size_t c = 0; c < local.size(); ++c) {
+    const ConflictGraph& component = decomposition.components()[c].graph;
+    DynamicBitset mine(component.vertex_count());
+    decomposition.Gather(static_cast<int>(c), repair, mine);
+    DynamicBitset scratch1(component.vertex_count());
+    DynamicBitset scratch2(component.vertex_count());
+    bool found_witness = false;
+    MisEngine(component).Enumerate([&](const DynamicBitset& other) {
+      found_witness = other != mine && IsPreferredOver(local[c], mine, other,
+                                                       scratch1, scratch2);
+      return !found_witness;
+    });
+    if (found_witness) return false;
+  }
+  return true;
+}
+
+// C via Prop. 7: simulates Algorithm 1 restricting the choices in Step 3
+// to ω≻(r) ∩ r'. PTIME (Corollary 2).
+bool IsCommonRepair(const ConflictGraph& graph, const Priority& priority,
+                    const DynamicBitset& repair) {
+  DCHECK(graph.IsMaximalIndependent(repair));
+  int n = graph.vertex_count();
+  DynamicBitset remaining = DynamicBitset::AllSet(n);
+  DynamicBitset to_pick = repair;
+  DynamicBitset winnow(n);
+  DynamicBitset picks(n);
+  DynamicBitset neighbors(n);
+  while (true) {
+    WinnowInto(priority, remaining, winnow);
+    picks.AssignAnd(winnow, to_pick);
+    if (picks.None()) break;
+    // Picking any x ∈ ω≻(r) ∩ r' keeps every other such candidate valid
+    // (members of r' are pairwise non-conflicting and removals only shrink
+    // domination), so all candidates can be consumed in one batch.
+    to_pick.Subtract(picks);
+    remaining.Subtract(picks);
+    graph.NeighborsOfSetInto(picks, neighbors);
+    remaining.Subtract(neighbors);
+  }
+  return remaining.None();
+}
+
 // X-repair checking against a priority already known to be over `graph`.
 bool IsMember(const ConflictGraph& graph, const Priority& priority,
               RepairFamily family, const DynamicBitset& repair) {
@@ -235,26 +334,13 @@ bool StreamComponentFamily(const ConflictGraph& graph,
 bool FilterGloballyOptimalInPlace(const Priority& priority,
                                   std::vector<DynamicBitset>* repairs,
                                   ExecutionContext* context = nullptr) {
-  if (repairs->empty()) return true;
-  int n = (*repairs)[0].size();
-  DynamicBitset scratch1(n);
-  DynamicBitset scratch2(n);
-  auto dominated = [&](const DynamicBitset& repair) {
-    for (const DynamicBitset& other : *repairs) {
-      if (&other == &repair) continue;
-      if (IsPreferredOver(priority, repair, other, scratch1, scratch2)) {
-        return true;
-      }
-    }
-    return false;
-  };
   // Certify every repair against the full list before erasing any of it,
   // then compact in place — the list may sit near the materialization
   // budget, so no second list is allocated.
   std::vector<char> keep(repairs->size());
   for (size_t i = 0; i < repairs->size(); ++i) {
     if (context != nullptr && context->ShouldStop()) return false;
-    keep[i] = !dominated((*repairs)[i]);
+    keep[i] = IsGloballyOptimalAmong(priority, (*repairs)[i], *repairs);
   }
   size_t write = 0;
   for (size_t i = 0; i < repairs->size(); ++i) {
@@ -479,14 +565,15 @@ Status WalkPreferredRepairs(
   const auto on_caller = [&visit](const DynamicBitset& repair) {
     return visit(0, repair);
   };
-  if (SpansOneComponent(graph)) {
-    EnumerateFamilyOnGraph(graph, priority, family, on_caller, options);
-    return finish(Status::Ok());
-  }
-  ComponentDecomposition decomposition(graph);
+  const ComponentDecomposition& decomposition = graph.decomposition();
   const std::vector<GraphComponent>& components = decomposition.components();
   if (components.empty()) {
     visit(0, decomposition.isolated());
+    return finish(Status::Ok());
+  }
+  if (components.size() == 1 && decomposition.isolated().None()) {
+    // One component spans the graph: no projection, no remapping.
+    EnumerateFamilyOnGraph(graph, priority, family, on_caller, options);
     return finish(Status::Ok());
   }
   const std::vector<Priority> priorities =
@@ -658,14 +745,15 @@ std::optional<ComponentFamilyLists> MaterializeComponentFamilyLists(
       PriorityOnGraph(graph, priority, family, &empty);
   if (!checked.ok()) return std::nullopt;
   EvalContextScope scope(options);
-  ComponentFamilyLists out{ComponentDecomposition(graph), {}};
-  const int threads = EffectiveThreadCount(
-      options.threads, out.decomposition.components().size());
+  const ComponentDecomposition& decomposition = graph.decomposition();
+  const int threads = EffectiveThreadCount(options.threads,
+                                           decomposition.components().size());
   std::unique_ptr<ThreadPool> pool =
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  ComponentFamilyLists out;
   Status materialized = MaterializeLists(
-      out.decomposition, LocalPriorities(out.decomposition, **checked, family),
-      family, scope.options(), pool.get(), &out.choices);
+      decomposition, LocalPriorities(decomposition, **checked, family), family,
+      scope.options(), pool.get(), &out.choices);
   if (!materialized.ok()) return std::nullopt;
   return out;
 }

@@ -60,9 +60,12 @@ inline bool PriorityIsEmpty(const Priority& priority) {
 // memoized choice-tree walk) when they cannot reject anything.
 RepairFamily EffectiveFamily(const Priority& priority, RepairFamily family);
 
-// X-repair checking (problem (i) of §4.1): is `repair` — assumed to be a
-// repair — a member of family X under `priority`? The priority is checked
-// as in ForEachPreferredRepair (Rep reads none).
+// X-repair checking (problem (i) of §4.1), the library's one public
+// check: is `repair` — assumed to be a repair — a member of family X under
+// `priority`? L- and S-Rep and C-Rep are PTIME (Theorem 4, Corollaries 1
+// and 2); G-Rep searches each conflict component for a ≪-witness
+// (co-NP-complete in general, Theorem 5). The priority is checked as in
+// ForEachPreferredRepair (Rep reads none).
 Result<bool> IsPreferredRepair(const ConflictGraph& graph,
                                const Priority& priority, RepairFamily family,
                                const DynamicBitset& repair);
@@ -71,15 +74,15 @@ Result<bool> IsPreferredRepair(const ConflictGraph& graph,
 // with worker < max(1, options.threads) so callers size per-worker fold
 // state up front; visit returning false stops every worker. A connected
 // graph or a single component streams in place on the calling thread
-// (worker 0). Otherwise each component's list is materialized in its
-// compact universe under the byte budget, one engine per component on
-// options.threads workers; lists over the budget fall back to whole-graph
-// streaming. The materialized product is walked in odometer order at
-// threads <= 1, and cut into disjoint boxes walked concurrently
-// otherwise, so folds whose merge is commutative give the serial result
-// at every thread count; a caller that needs the order passes
-// threads = 1 or takes PreferredRepairs. With a context attached, every
-// visited repair counts in its repairs_examined.
+// (worker 0). Otherwise each component of graph.decomposition() has its
+// list materialized in its compact universe under the byte budget, one
+// engine per component on options.threads workers; lists over the budget
+// fall back to whole-graph streaming. The materialized product is walked
+// in odometer order at threads <= 1, and cut into disjoint boxes walked
+// concurrently otherwise, so folds whose merge is commutative give the
+// serial result at every thread count; a caller that needs the order
+// passes threads = 1 or takes PreferredRepairs. With a context attached,
+// every visited repair counts in its repairs_examined.
 //
 // For every family but Rep, a priority with arcs built over another graph
 // (other vertex count, or an arc on no conflict edge) is
@@ -107,11 +110,10 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const EvalOptions& options = {});
 
-// Per-component family lists in their compact local universes, together
-// with the decomposition that defines them: the factors of the product
-// the walk above visits.
+// Per-component family lists in their compact local universes: the
+// factors of the product the walk above visits. choices[c] belongs to
+// component c of graph.decomposition(), the graph's one decomposition.
 struct ComponentFamilyLists {
-  ComponentDecomposition decomposition;
   std::vector<std::vector<DynamicBitset>> choices;
 };
 
@@ -120,7 +122,7 @@ struct ComponentFamilyLists {
 // the check of ForEachPreferredRepair, when the lists exceed the
 // effective component_list_budget_bytes, or when the context was
 // interrupted. A graph with no non-singleton component yields empty
-// `choices`; its unique repair is decomposition.isolated().
+// `choices`; its unique repair is graph.decomposition().isolated().
 [[nodiscard]] std::optional<ComponentFamilyLists>
 MaterializeComponentFamilyLists(const ConflictGraph& graph,
                                 const Priority& priority, RepairFamily family,

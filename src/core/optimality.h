@@ -14,7 +14,9 @@
 // plus the *common repairs* (Thm. 1 / Prop. 7): repairs produced by every
 // run of Algorithm 1, checkable in PTIME by a greedy simulation.
 //
-// All functions expect `repair` to satisfy graph.IsMaximalIndependent().
+// The four checks themselves sit behind IsPreferredRepair (core/families.h),
+// which first checks that the priority was built over the graph. This
+// header keeps the ≪ lifting they share with the G-Rep certificate.
 
 #ifndef PREFREP_CORE_OPTIMALITY_H_
 #define PREFREP_CORE_OPTIMALITY_H_
@@ -22,7 +24,6 @@
 #include <vector>
 
 #include "base/bitset.h"
-#include "graph/conflict_graph.h"
 #include "priority/priority.h"
 
 namespace prefrep {
@@ -44,39 +45,12 @@ namespace prefrep {
                                    DynamicBitset& only_r1,
                                    DynamicBitset& only_r2);
 
-// L: no x ∈ r' and y ∈ r \ r' with y ≻ x and (r' \ {x}) ∪ {y} consistent.
-// PTIME (Theorem 4).
-[[nodiscard]] bool IsLocallyOptimal(const ConflictGraph& graph,
-                                    const Priority& priority,
-                                    const DynamicBitset& repair);
-
-// S: no nonempty X ⊆ r' and y with ∀x∈X. y ≻ x and (r' \ X) ∪ {y}
-// consistent. Equivalently: no y outside r' dominating all its neighbors
-// in r' (§4.2). PTIME (Corollary 1).
-[[nodiscard]] bool IsSemiGloballyOptimal(const ConflictGraph& graph,
-                                         const Priority& priority,
-                                         const DynamicBitset& repair);
-
-// G via Prop. 5: no repair r'' != r' with r' ≪ r''. A witness narrows to
-// one conflict component, so the search runs a MisEngine per component
-// under its projected priority: exponential in the largest component, not
-// in the whole repair space (co-NP-complete in general, Theorem 5). The
-// repair-checking API.
-[[nodiscard]] bool IsGloballyOptimal(const ConflictGraph& graph,
-                                     const Priority& priority,
-                                     const DynamicBitset& repair);
-
-// G among a pre-materialized repair set (used when the caller already
-// enumerated all repairs).
+// G among a pre-materialized repair set: no other member r'' of `repairs`
+// with repair ≪ r''. The G-Rep list certificate (core/families.cc) runs it
+// once per repair of a component's complete list.
 [[nodiscard]] bool IsGloballyOptimalAmong(
     const Priority& priority, const DynamicBitset& repair,
     const std::vector<DynamicBitset>& repairs);
-
-// C via Prop. 7: simulates Algorithm 1 restricting the choices in Step 3
-// to ω≻(r) ∩ r'. PTIME (Corollary 2).
-[[nodiscard]] bool IsCommonRepair(const ConflictGraph& graph,
-                                  const Priority& priority,
-                                  const DynamicBitset& repair);
 
 }  // namespace prefrep
 

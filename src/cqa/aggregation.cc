@@ -173,8 +173,8 @@ Result<AggregateRange> CountStarRange(const RepairProblem& problem,
   EvalContextScope scope(options);
   PREFREP_ASSIGN_OR_RETURN(
       MisSizeRange sizes,
-      MaskedMisSizeRange(ComponentDecomposition(problem.graph()),
-                         relation_mask, scope.context()));
+      MaskedMisSizeRange(problem.graph().decomposition(), relation_mask,
+                         scope.context()));
   AggregateRange range;
   range.has_value = true;
   range.lo = static_cast<double>(sizes.lo);

@@ -1,6 +1,8 @@
 #include "graph/components.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 namespace prefrep {
@@ -14,6 +16,15 @@ ConflictGraph InducedSubgraph(const ConflictGraph& graph,
         << "InducedSubgraph needs sorted distinct vertices";
     local_of[vertices[i]] = i;
   }
+  if (local_count == graph.vertex_count()) {
+    // Every vertex, so local i is global i: the same rows (refcount bumps)
+    // under the fresh cache of a default-constructed graph.
+    ConflictGraph whole;
+    whole.vertex_count_ = graph.vertex_count_;
+    whole.edges_ = graph.edges_;
+    whole.adjacency_ = graph.adjacency_;
+    return whole;
+  }
   std::vector<std::pair<int, int>> local_edges;
   for (int i = 0; i < local_count; ++i) {
     ForEachSetBit(graph.Neighbors(vertices[i]), [&](int w) {
@@ -26,46 +37,37 @@ ConflictGraph InducedSubgraph(const ConflictGraph& graph,
   return ConflictGraph(local_count, local_edges);
 }
 
-bool SpansOneComponent(const ConflictGraph& graph) {
-  int n = graph.vertex_count();
-  if (n == 0) return false;
-  // Word-parallel BFS from vertex 0.
-  DynamicBitset visited(n);
-  DynamicBitset frontier(n);
-  DynamicBitset next(n);
-  frontier.Set(0);
-  while (frontier.Any()) {
-    visited |= frontier;
-    next.Clear();
-    ForEachSetBit(frontier, [&](int v) { next |= graph.Neighbors(v); });
-    next.Subtract(visited);
-    std::swap(frontier, next);
-  }
-  return visited.Count() == n;
+struct ConflictGraph::DecompositionCache {
+  std::once_flag once;
+  std::unique_ptr<const ComponentDecomposition> value;
+};
+
+std::shared_ptr<ConflictGraph::DecompositionCache>
+ConflictGraph::NewDecompositionCache() {
+  return std::make_shared<DecompositionCache>();
+}
+
+const ComponentDecomposition& ConflictGraph::decomposition() const {
+  std::call_once(decomposition_->once, [this] {
+    decomposition_->value = std::make_unique<ComponentDecomposition>(*this);
+  });
+  return *decomposition_->value;
+}
+
+void ConflictGraph::AdoptDecomposition(
+    std::unique_ptr<const ComponentDecomposition> decomposition) {
+  CHECK(decomposition != nullptr);
+  CHECK_EQ(decomposition->vertex_count(), vertex_count_);
+  bool adopted = false;
+  std::call_once(decomposition_->once, [&] {
+    decomposition_->value = std::move(decomposition);
+    adopted = true;
+  });
+  CHECK(adopted) << "graph already has a decomposition";
 }
 
 ComponentDecomposition::ComponentDecomposition(const ConflictGraph& graph)
-    : vertex_count_(graph.vertex_count()),
-      isolated_(graph.vertex_count()),
-      component_of_(graph.vertex_count(), -1),
-      local_index_(graph.vertex_count(), -1) {
-  for (const std::vector<int>& vertices : graph.ConnectedComponents()) {
-    if (vertices.size() == 1) {
-      isolated_.Set(vertices[0]);
-      continue;
-    }
-    int c = static_cast<int>(components_.size());
-    for (size_t i = 0; i < vertices.size(); ++i) {
-      component_of_[vertices[i]] = c;
-      local_index_[vertices[i]] = static_cast<int>(i);
-    }
-    GraphComponent component;
-    component.graph = InducedSubgraph(graph, vertices);
-    component.vertices = vertices;
-    components_.push_back(std::move(component));
-  }
-  rebuilt_component_count_ = static_cast<int>(components_.size());
-}
+    : ComponentDecomposition(graph, DecompositionDeltaSeed{}) {}
 
 ComponentDecomposition::ComponentDecomposition(
     const ConflictGraph& graph, const DecompositionDeltaSeed& seed)
@@ -73,49 +75,51 @@ ComponentDecomposition::ComponentDecomposition(
       isolated_(graph.vertex_count()),
       component_of_(graph.vertex_count(), -1),
       local_index_(graph.vertex_count(), -1) {
-  CHECK(seed.parent != nullptr && seed.old_to_new != nullptr);
-  const ComponentDecomposition& parent = *seed.parent;
-  const std::vector<int>& old_to_new = *seed.old_to_new;
-  CHECK_EQ(static_cast<int>(old_to_new.size()), parent.vertex_count());
-
   // Clean parent components survive intact: every member remapped (the
   // delta deleted none of them — that would have dirtied the component),
   // the local subgraph reused. Parent order is by smallest old vertex and
   // the remap is monotone, so the carried list stays sorted by smallest
   // new vertex.
   std::vector<GraphComponent> carried;
-  carried.reserve(parent.components().size());
-  size_t next_dirty = 0;
-  for (size_t c = 0; c < parent.components().size(); ++c) {
-    while (next_dirty < seed.dirty_components.size() &&
-           seed.dirty_components[next_dirty] < static_cast<int>(c)) {
-      ++next_dirty;
+  if (seed.parent != nullptr) {
+    CHECK(seed.old_to_new != nullptr);
+    const ComponentDecomposition& parent = *seed.parent;
+    const std::vector<int>& old_to_new = *seed.old_to_new;
+    CHECK_EQ(static_cast<int>(old_to_new.size()), parent.vertex_count());
+    carried.reserve(parent.components().size());
+    size_t next_dirty = 0;
+    for (size_t c = 0; c < parent.components().size(); ++c) {
+      while (next_dirty < seed.dirty_components.size() &&
+             seed.dirty_components[next_dirty] < static_cast<int>(c)) {
+        ++next_dirty;
+      }
+      if (next_dirty < seed.dirty_components.size() &&
+          seed.dirty_components[next_dirty] == static_cast<int>(c)) {
+        continue;
+      }
+      const GraphComponent& source = parent.components()[c];
+      GraphComponent component;
+      component.vertices.reserve(source.vertices.size());
+      for (int old_vertex : source.vertices) {
+        int new_vertex = old_to_new[old_vertex];
+        DCHECK(new_vertex >= 0) << "clean component lost vertex " << old_vertex;
+        component.vertices.push_back(new_vertex);
+      }
+      component.graph = source.graph;
+      carried.push_back(std::move(component));
     }
-    if (next_dirty < seed.dirty_components.size() &&
-        seed.dirty_components[next_dirty] == static_cast<int>(c)) {
-      continue;
-    }
-    const GraphComponent& source = parent.components()[c];
-    GraphComponent component;
-    component.vertices.reserve(source.vertices.size());
-    for (int old_vertex : source.vertices) {
-      int new_vertex = old_to_new[old_vertex];
-      DCHECK(new_vertex >= 0) << "clean component lost vertex " << old_vertex;
-      component.vertices.push_back(new_vertex);
-    }
-    component.graph = source.graph;
-    carried.push_back(std::move(component));
   }
 
-  // Dirty region: plain BFS from the seed vertices over the new graph.
-  // Closure stays inside the dirty region — an edge from a dirty vertex
-  // into a clean component would be a fresh edge, which dirties that
-  // component by the seed's contract.
+  // Dirty region (every vertex without a parent): plain BFS from each
+  // unvisited seed vertex over the new graph. Closure stays inside the
+  // dirty region — an edge from a dirty vertex into a clean component
+  // would be a fresh edge, which dirties that component by the seed's
+  // contract.
   std::vector<GraphComponent> rebuilt;
   DynamicBitset visited(vertex_count_);
   std::vector<int> stack;
-  for (int start : seed.dirty_vertices) {
-    if (visited.Test(start)) continue;
+  const auto solve = [&](int start) {
+    if (visited.Test(start)) return;
     std::vector<int> vertices;
     stack.assign(1, start);
     visited.Set(start);
@@ -130,12 +134,17 @@ ComponentDecomposition::ComponentDecomposition(
         }
       });
     }
-    if (vertices.size() == 1) continue;  // isolated; swept up below
+    if (vertices.size() == 1) return;  // isolated; swept up below
     std::sort(vertices.begin(), vertices.end());
     GraphComponent component;
     component.graph = InducedSubgraph(graph, vertices);
     component.vertices = std::move(vertices);
     rebuilt.push_back(std::move(component));
+  };
+  if (seed.parent == nullptr) {
+    for (int v = 0; v < vertex_count_; ++v) solve(v);
+  } else {
+    for (int v : seed.dirty_vertices) solve(v);
   }
   std::sort(rebuilt.begin(), rebuilt.end(),
             [](const GraphComponent& a, const GraphComponent& b) {

@@ -7,7 +7,10 @@
 // Marcinkowski exploit the same structure). This header holds the pieces
 // of that product: the decomposition into compact per-component universes
 // and ComponentProductEnumerator, the odometer over per-component choice
-// lists, whole or cut into boxes (EnumerateSlices). The one walk that
+// lists, whole or cut into boxes (EnumerateSlices). Every engine reads a
+// graph's one decomposition through ConflictGraph::decomposition(), which
+// builds it once per graph; Snapshot::Derive builds a successor's
+// incrementally from its parent's and installs it. The one walk that
 // materializes the lists under the byte budget and drives the odometer —
 // on the calling thread or box by box on worker threads — is
 // core/families.cc's (ForEachPreferredRepair, PreferredRepairs).
@@ -26,17 +29,10 @@
 namespace prefrep {
 
 // The compact subgraph induced by `vertices` (sorted ascending): local
-// vertex i stands for global vertex vertices[i].
+// vertex i stands for global vertex vertices[i]. Every vertex of `graph`
+// induces `graph` itself: its adjacency rows are shared, not rebuilt.
 [[nodiscard]] ConflictGraph InducedSubgraph(const ConflictGraph& graph,
                                             const std::vector<int>& vertices);
-
-// True iff the graph is one connected component spanning every vertex
-// (and nonempty). The product walk (core/families.cc) uses this as a
-// cheap pre-check: a spanning component needs no decomposition, no
-// priority projection and no local/global remapping, keeping the fixed
-// per-call overhead on small connected inputs (a few microseconds of
-// end-to-end CQA) near zero.
-[[nodiscard]] bool SpansOneComponent(const ConflictGraph& graph);
 
 // One non-singleton connected component in its compact local universe.
 struct GraphComponent {
@@ -49,6 +45,7 @@ class ComponentDecomposition;
 // Seed for the incremental decomposition constructor: how a parent
 // decomposition maps onto a derived graph. Built by Snapshot::Derive
 // (server/snapshot.h) from the delta's id remap and fresh conflict edges.
+// A seed without a parent marks every vertex dirty: the from-scratch build.
 struct DecompositionDeltaSeed {
   const ComponentDecomposition* parent = nullptr;
   // Old id → new id; -1 for deleted ids (DeltaRemap::old_to_new). Must be
@@ -66,6 +63,8 @@ struct DecompositionDeltaSeed {
 
 class ComponentDecomposition {
  public:
+  // From scratch: the incremental form with every vertex dirty and no
+  // parent. Engines do not call this; they read graph.decomposition().
   explicit ComponentDecomposition(const ConflictGraph& graph);
 
   // Incremental form: carries every clean parent component over (vertices

@@ -142,29 +142,4 @@ bool ConflictGraph::IsMaximalIndependent(const DynamicBitset& s) const {
   return covered.Count() == vertex_count_;
 }
 
-std::vector<std::vector<int>> ConflictGraph::ConnectedComponents() const {
-  std::vector<std::vector<int>> components;
-  std::vector<bool> visited(vertex_count_, false);
-  for (int start = 0; start < vertex_count_; ++start) {
-    if (visited[start]) continue;
-    std::vector<int> component;
-    std::vector<int> stack = {start};
-    visited[start] = true;
-    while (!stack.empty()) {
-      int v = stack.back();
-      stack.pop_back();
-      component.push_back(v);
-      ForEachSetBit(*adjacency_[v], [&](int w) {
-        if (!visited[w]) {
-          visited[w] = true;
-          stack.push_back(w);
-        }
-      });
-    }
-    std::sort(component.begin(), component.end());
-    components.push_back(std::move(component));
-  }
-  return components;
-}
-
 }  // namespace prefrep

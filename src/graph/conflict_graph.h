@@ -14,6 +14,12 @@
 // re-allocating O(V^2/64) bits — the dominant cost of graph construction,
 // and what makes incremental snapshot derivation (server/snapshot.h) beat a
 // full rebuild.
+//
+// Each graph also owns its connected-component decomposition
+// (graph/components.h), built once on the first decomposition() call and
+// shared by every copy of the graph, so every engine that decomposes reads
+// the same component ids. Snapshot::Derive installs its incrementally
+// built decomposition instead (AdoptDecomposition).
 
 #ifndef PREFREP_GRAPH_CONFLICT_GRAPH_H_
 #define PREFREP_GRAPH_CONFLICT_GRAPH_H_
@@ -25,6 +31,8 @@
 #include "base/bitset.h"
 
 namespace prefrep {
+
+class ComponentDecomposition;
 
 class ConflictGraph {
  public:
@@ -118,11 +126,29 @@ class ConflictGraph {
   // neighbor inside `s` (i.e. `s` is a repair).
   bool IsMaximalIndependent(const DynamicBitset& s) const;
 
-  // Connected components, each sorted ascending; components ordered by
-  // smallest vertex.
-  std::vector<std::vector<int>> ConnectedComponents() const;
+  // The connected-component decomposition of this graph. Built on the
+  // first call (thread-safe: concurrent first calls build it once) unless
+  // one was adopted; every later call, on this graph or any copy of it,
+  // returns the same object, valid while some copy lives.
+  const ComponentDecomposition& decomposition() const;
+
+  // Installs `decomposition`, which must decompose this graph exactly as
+  // the first decomposition() call would (Snapshot::Derive's seeded one).
+  // CHECK-fails when the graph already has one.
+  void AdoptDecomposition(
+      std::unique_ptr<const ComponentDecomposition> decomposition);
 
  private:
+  // Defined in graph/components.cc, where the decomposition is complete.
+  struct DecompositionCache;
+  static std::shared_ptr<DecompositionCache> NewDecompositionCache();
+
+  // The whole graph as its own spanning component (InducedSubgraph of
+  // every vertex): shared rows under a fresh cache, so a graph never holds
+  // itself through its decomposition.
+  friend ConflictGraph InducedSubgraph(const ConflictGraph& graph,
+                                       const std::vector<int>& vertices);
+
   static std::vector<std::shared_ptr<const DynamicBitset>> BuildAdjacency(
       int vertex_count, const std::vector<std::pair<int, int>>& edges);
 
@@ -132,6 +158,8 @@ class ConflictGraph {
   // the decomposition carries per-component local graphs by copy).
   std::shared_ptr<const std::vector<std::pair<int, int>>> edges_;
   std::vector<std::shared_ptr<const DynamicBitset>> adjacency_;
+  // Shared with copies, like the adjacency it is computed from.
+  std::shared_ptr<DecompositionCache> decomposition_ = NewDecompositionCache();
 };
 
 }  // namespace prefrep

@@ -31,18 +31,9 @@ MisEngine::Frame& MisEngine::FrameAt(int depth) {
 }
 
 BigUint CountMaximalIndependentSets(const ConflictGraph& graph) {
-  ComponentDecomposition decomposition(graph);
-  BigUint total = BigUint::One();
-  for (const GraphComponent& component : decomposition.components()) {
-    uint64_t count = 0;
-    MisEngine engine(component.graph);
-    engine.Enumerate([&count](const DynamicBitset&) {
-      ++count;
-      return true;
-    });
-    total *= BigUint(count);
-  }
-  return total;
+  return MaskedMisSizeRange(graph.decomposition(),
+                            DynamicBitset::AllSet(graph.vertex_count()))
+      ->count;
 }
 
 Result<MisSizeRange> MaskedMisSizeRange(

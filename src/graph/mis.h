@@ -126,7 +126,8 @@ class MisEngine {
   std::vector<std::unique_ptr<Frame>> frames_;
 };
 
-// Exact number of maximal independent sets (product over components).
+// Exact number of maximal independent sets: MaskedMisSizeRange's count
+// over graph.decomposition().
 [[nodiscard]] BigUint CountMaximalIndependentSets(const ConflictGraph& graph);
 
 class ComponentDecomposition;

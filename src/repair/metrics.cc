@@ -36,7 +36,7 @@ RepairSpaceMetrics ComputeRepairSpaceMetrics(const RepairProblem& problem,
     if (degree > 0) ++metrics.conflicting_tuple_count;
   }
 
-  ComponentDecomposition decomposition(graph);
+  const ComponentDecomposition& decomposition = graph.decomposition();
   int isolated = decomposition.isolated().Count();
   metrics.component_count =
       static_cast<int>(decomposition.components().size()) + isolated;

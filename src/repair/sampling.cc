@@ -14,7 +14,7 @@ Result<RepairSampler> RepairSampler::Create(const ConflictGraph* graph,
   CHECK(graph != nullptr);
   RepairSampler sampler;
   sampler.graph_ = graph;
-  ComponentDecomposition decomposition(*graph);
+  const ComponentDecomposition& decomposition = graph->decomposition();
   sampler.isolated_ = decomposition.isolated();
   const std::vector<GraphComponent>& components = decomposition.components();
   for (size_t c = 0; c < components.size(); ++c) {

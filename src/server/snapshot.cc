@@ -39,8 +39,7 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
   PREFREP_ASSIGN_OR_RETURN(
       snapshot->problem_,
       RepairProblem::Create(snapshot->db_.get(), std::move(fds)));
-  snapshot->decomposition_ =
-      std::make_unique<ComponentDecomposition>(snapshot->problem_.graph());
+  snapshot->problem_.graph().decomposition();  // built now, not on a query
   PREFREP_ASSIGN_OR_RETURN(
       snapshot->conflict_index_,
       FdConflictIndex::Build(*snapshot->db_, snapshot->problem_.fds()));
@@ -147,22 +146,22 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Derive(
   SortUnique(&dirty_vertices);
   if (context != nullptr && context->ShouldStop()) return context->status();
 
-  // 5. Assemble. Construction order matters: the problem owns the graph,
-  // the decomposition is built from the problem's copy.
-  std::shared_ptr<Snapshot> snapshot(new Snapshot());
-  snapshot->db_ = std::make_unique<Database>(std::move(new_db));
-  snapshot->problem_ = RepairProblem::FromPrecomputedGraph(
-      snapshot->db_.get(), base->fds(),
-      ConflictGraph::DeriveFrom(base->graph(), remap.new_tuple_count,
-                                std::move(edges), adjacency_identity_limit,
-                                dirty_adjacency));
+  // 5. Assemble: the successor graph adopts the seeded decomposition
+  // before the problem takes it over.
+  ConflictGraph graph = ConflictGraph::DeriveFrom(
+      base->graph(), remap.new_tuple_count, std::move(edges),
+      adjacency_identity_limit, dirty_adjacency);
   DecompositionDeltaSeed seed;
   seed.parent = &parent_decomposition;
   seed.old_to_new = &remap.old_to_new;
   seed.dirty_components = std::move(dirty_components);
   seed.dirty_vertices = std::move(dirty_vertices);
-  snapshot->decomposition_ = std::make_unique<ComponentDecomposition>(
-      snapshot->problem_.graph(), seed);
+  graph.AdoptDecomposition(
+      std::make_unique<ComponentDecomposition>(graph, seed));
+  std::shared_ptr<Snapshot> snapshot(new Snapshot());
+  snapshot->db_ = std::make_unique<Database>(std::move(new_db));
+  snapshot->problem_ = RepairProblem::FromPrecomputedGraph(
+      snapshot->db_.get(), base->fds(), std::move(graph));
   snapshot->conflict_index_ = std::move(conflict_index);
   snapshot->census_ = std::move(census);
 
@@ -177,15 +176,17 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Derive(
   // Direct counts from the seeded decomposition: set arithmetic over
   // parent/child totals undercounts rebuilds when fresh edges merge
   // several dirty parent components into one child component.
-  info->rebuilt_components = snapshot->decomposition_->rebuilt_component_count();
-  info->carried_components = snapshot->decomposition_->carried_component_count();
+  info->rebuilt_components =
+      snapshot->decomposition().rebuilt_component_count();
+  info->carried_components =
+      snapshot->decomposition().carried_component_count();
   snapshot->delta_info_ = std::move(info);
   snapshot->id_ = g_next_snapshot_id.fetch_add(1, std::memory_order_relaxed) + 1;
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
 std::string Snapshot::Describe() const {
-  const ComponentDecomposition& d = *decomposition_;
+  const ComponentDecomposition& d = decomposition();
   std::string out = "snapshot #" + std::to_string(id_) + ": " +
                     std::to_string(problem_.tuple_count()) + " tuples, " +
                     std::to_string(problem_.graph().edge_count()) +

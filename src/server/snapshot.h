@@ -3,8 +3,9 @@
 //
 // Everything derivable from (database, FDs) that every query against the
 // version needs — the conflict graph, the connected-component
-// decomposition, the per-FD LHS probe index and the active-domain census —
-// is computed exactly once, at Create time. Sessions then share one
+// decomposition (held by the graph, which every engine reads it from), the
+// per-FD LHS probe index and the active-domain census — is computed exactly
+// once, at Create time. Sessions then share one
 // Snapshot through shared_ptr<const Snapshot>: queries never mutate it, so
 // any number of sessions (and their worker threads) can read it
 // concurrently without synchronization. Updating data means building a NEW
@@ -25,7 +26,8 @@
 //     shared rows keep the parent's bit length (ragged adjacency, see
 //     conflict_graph.h),
 //   - carries every clean component of the parent decomposition over and
-//     re-runs BFS only on the dirty region,
+//     re-runs BFS only on the dirty region, and installs the result as the
+//     successor graph's decomposition (ConflictGraph::AdoptDecomposition),
 //   - records what changed in a SnapshotDeltaInfo so a derived Session can
 //     seed its caches from the parent and invalidate only entries whose
 //     footprint intersects the dirty set.
@@ -88,7 +90,7 @@ struct SnapshotDeltaInfo {
 
 class Snapshot {
  public:
-  // Takes ownership of `db` and `fds`, builds the conflict graph and the
+  // Takes ownership of `db` and `fds`, builds the conflict graph and its
   // component decomposition. Fails (kInvalidArgument) when an FD names a
   // relation or attribute the database does not have.
   static Result<std::shared_ptr<const Snapshot>> Create(
@@ -113,8 +115,9 @@ class Snapshot {
   }
   const RepairProblem& problem() const { return problem_; }
   const ConflictGraph& graph() const { return problem_.graph(); }
+  // The graph's own decomposition (graph().decomposition()).
   const ComponentDecomposition& decomposition() const {
-    return *decomposition_;
+    return graph().decomposition();
   }
   // Per-FD LHS probe index over db() (what Derive probes delta tuples
   // against).
@@ -140,7 +143,6 @@ class Snapshot {
 
   std::unique_ptr<Database> db_;  // stable address: problem_ borrows it
   RepairProblem problem_;
-  std::unique_ptr<ComponentDecomposition> decomposition_;
   FdConflictIndex conflict_index_;
   ValueCensus census_;
   std::unique_ptr<SnapshotDeltaInfo> delta_info_;

@@ -79,16 +79,16 @@ SetOfSets BruteForceFamily(const ConflictGraph& g, const Priority& p,
         member = true;
         break;
       case RepairFamily::kLocal:
-        member = IsLocallyOptimal(g, p, r);
+        member = *IsPreferredRepair(g, p, RepairFamily::kLocal, r);
         break;
       case RepairFamily::kSemiGlobal:
-        member = IsSemiGloballyOptimal(g, p, r);
+        member = *IsPreferredRepair(g, p, RepairFamily::kSemiGlobal, r);
         break;
       case RepairFamily::kGlobal:
         member = IsGloballyOptimalAmong(p, r, repairs);
         break;
       case RepairFamily::kCommon:
-        member = IsCommonRepair(g, p, r);
+        member = *IsPreferredRepair(g, p, RepairFamily::kCommon, r);
         break;
     }
     if (member) out.insert(r.ToVector());
@@ -150,6 +150,43 @@ TEST(ComponentDecompositionTest, SplitsAndRemaps) {
   EXPECT_EQ(d.ComponentOf(0), -1);
   EXPECT_EQ(d.LocalIndex(6), 2);
   EXPECT_EQ(d.LocalIndex(3), 0);
+}
+
+TEST(ComponentDecompositionTest, GraphBuildsItsDecompositionOnce) {
+  ConflictGraph g(7, {{3, 5}, {2, 4}, {4, 6}, {2, 6}});
+  const ComponentDecomposition& d = g.decomposition();
+  EXPECT_EQ(&g.decomposition(), &d);
+  const ConflictGraph copy = g;
+  EXPECT_EQ(&copy.decomposition(), &d);
+  // The cached one is the from-scratch one.
+  ComponentDecomposition scratch(g);
+  ASSERT_EQ(d.components().size(), scratch.components().size());
+  for (size_t c = 0; c < d.components().size(); ++c) {
+    EXPECT_EQ(d.components()[c].vertices, scratch.components()[c].vertices);
+    EXPECT_EQ(d.components()[c].graph.edges(),
+              scratch.components()[c].graph.edges());
+  }
+  EXPECT_TRUE(d.isolated() == scratch.isolated());
+  EXPECT_EQ(d.rebuilt_component_count(), 2);
+  EXPECT_EQ(d.carried_component_count(), 0);
+}
+
+TEST(ComponentDecompositionTest, SpanningComponentSharesTheGraphsRows) {
+  // A component spanning its graph is the graph itself: its rows are the
+  // graph's, and its own decomposition is a different object (the graph
+  // does not hold itself through its cache; LSan would report a cycle).
+  ConflictGraph g(4, {{0, 1}, {1, 2}, {2, 3}});
+  const ComponentDecomposition& d = g.decomposition();
+  ASSERT_EQ(d.components().size(), 1u);
+  EXPECT_TRUE(d.isolated().None());
+  const ConflictGraph& local = d.components()[0].graph;
+  EXPECT_EQ(local.edges(), g.edges());
+  for (int v = 0; v < g.vertex_count(); ++v) {
+    EXPECT_TRUE(local.SharesAdjacencyWith(g, v)) << "vertex " << v;
+  }
+  EXPECT_NE(&local.decomposition(), &d);
+  EXPECT_EQ(local.decomposition().components()[0].vertices,
+            d.components()[0].vertices);
 }
 
 TEST(ComponentDecompositionTest, ScatterGatherRoundTrip) {

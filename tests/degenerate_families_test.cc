@@ -17,7 +17,6 @@
 #include "core/algorithm1.h"
 #include "core/extensions.h"
 #include "core/families.h"
-#include "core/optimality.h"
 #include "repair/repair.h"
 #include "workload/generators.h"
 
@@ -91,8 +90,10 @@ TEST(DegenerateFamiliesTest, TRepIsGloballyOptimalAndCategorical) {
     ASSERT_EQ(family.size(), 1u);  // P1 + P4 by construction
     // Members are globally optimal (they are Algorithm 1 outputs of a
     // total extension, hence common repairs of that extension).
-    EXPECT_TRUE(IsGloballyOptimal(g, priority, *family.begin()));
-    EXPECT_TRUE(IsCommonRepair(g, priority, *family.begin()));
+    EXPECT_TRUE(*IsPreferredRepair(g, priority, RepairFamily::kGlobal,
+                                   *family.begin()));
+    EXPECT_TRUE(*IsPreferredRepair(g, priority, RepairFamily::kCommon,
+                                   *family.begin()));
   }
 }
 

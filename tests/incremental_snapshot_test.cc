@@ -167,6 +167,38 @@ TEST(SnapshotDeriveTest, UntouchedRelationsShareStorageWithParent) {
   EXPECT_NE((*derived)->Describe().find("delta from #"), std::string::npos);
 }
 
+TEST(SnapshotDeriveTest, EveryReaderSharesTheGraphsOneDecomposition) {
+  Rng rng(1920);
+  GeneratedInstance inst = MakeComponentsInstance(rng, {4, 1, 3, 5, 2, 4});
+  std::shared_ptr<const Snapshot> base = MustSnapshot(inst);
+  EXPECT_EQ(&base->decomposition(), &base->graph().decomposition());
+  EXPECT_EQ(&base->problem().graph().decomposition(), &base->decomposition());
+  // A local delta: one deleted tuple dirties at most its own component,
+  // so the successor carries the others over.
+  DatabaseDelta delta(&base->db());
+  ASSERT_TRUE(delta.Delete(base->db().tuple_count() - 1).ok());
+  auto derived = Snapshot::Derive(base, delta);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+  const ComponentDecomposition& seeded = (*derived)->graph().decomposition();
+  EXPECT_EQ(&(*derived)->decomposition(), &seeded);
+  EXPECT_GT(seeded.carried_component_count(), 0);
+  // A copy of the graph reads the same decomposition.
+  const ConflictGraph copy = (*derived)->graph();
+  EXPECT_EQ(&copy.decomposition(), &seeded);
+  // The walk over the installed decomposition lists every family in the
+  // same sequence as a snapshot created from the post-delta database.
+  auto rebuilt = Snapshot::Create(*delta.ApplyNaive(), base->fds());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  Priority priority = RandomRankingPriority(rng, (*rebuilt)->graph(), 0.7);
+  for (RepairFamily family : kAllFamilies) {
+    auto got = PreferredRepairs((*derived)->graph(), priority, family);
+    auto want = PreferredRepairs((*rebuilt)->graph(), priority, family);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(*got, *want) << RepairFamilyName(family);
+  }
+}
+
 TEST(SnapshotDeriveTest, RandomizedDeriveMatchesCreateStructurally) {
   Rng rng(20260808);
   for (int round = 0; round < 20; ++round) {

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,7 +33,9 @@
 #include "cqa/planner.h"
 #include "graph/mis.h"
 #include "query/parser.h"
+#include "relational/delta.h"
 #include "repair/repair.h"
+#include "server/snapshot.h"
 #include "workload/generators.h"
 
 namespace prefrep {
@@ -464,6 +467,55 @@ TEST(ParallelEnumerationStressTest, StressShardedEnumerationAndCqa) {
                           std::string(AggregateFunctionName(fn)));
     }
   }
+}
+
+// Four threads (no more) make the first decomposition() call on one graph
+// at once, then walk it: on a graph nothing has decomposed yet and on a
+// freshly derived snapshot's graph, whose decomposition Derive installed.
+// Every thread must read the same decomposition object and list the same
+// sequence as a graph decomposed on one thread.
+TEST(ParallelEnumerationStressTest, StressFirstDecompositionCall) {
+  constexpr int kRacers = 4;
+  Rng rng(1919);
+  GeneratedInstance inst = MakeComponentsInstance(rng, {5, 1, 4, 6, 3, 5});
+  auto base = Snapshot::Create(*inst.db, inst.fds);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  DatabaseDelta delta(&(*base)->db());
+  ASSERT_TRUE(delta.Delete(0).ok());
+  auto derived = Snapshot::Derive(*base, delta);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+  const ConflictGraph& derived_graph = (*derived)->graph();
+  const ConflictGraph fresh(derived_graph.vertex_count(),
+                            derived_graph.edges());
+  const ConflictGraph reference(derived_graph.vertex_count(),
+                                derived_graph.edges());
+  Priority priority = RandomRankingPriority(rng, reference, 0.6);
+  for (RepairFamily family : kAllFamilies) {
+    auto expected = PreferredRepairs(reference, priority, family);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (const ConflictGraph* graph : {&fresh, &derived_graph}) {
+      std::atomic<int> arrived{0};
+      std::vector<const ComponentDecomposition*> seen(kRacers);
+      std::vector<std::vector<DynamicBitset>> walked(kRacers);
+      std::vector<std::thread> racers;
+      for (int t = 0; t < kRacers; ++t) {
+        racers.emplace_back([&, t] {
+          arrived.fetch_add(1);
+          while (arrived.load() < kRacers) std::this_thread::yield();
+          seen[t] = &graph->decomposition();
+          auto repairs = PreferredRepairs(*graph, priority, family);
+          if (repairs.ok()) walked[t] = *std::move(repairs);
+        });
+      }
+      for (std::thread& racer : racers) racer.join();
+      for (int t = 0; t < kRacers; ++t) {
+        EXPECT_EQ(seen[t], seen[0]) << "racer " << t;
+        EXPECT_EQ(walked[t], *expected)
+            << RepairFamilyName(family) << " racer " << t;
+      }
+    }
+  }
+  EXPECT_EQ(&derived_graph.decomposition(), &(*derived)->decomposition());
 }
 
 }  // namespace

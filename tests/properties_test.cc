@@ -20,7 +20,6 @@
 #include "constraints/fd_theory.h"
 #include "core/algorithm1.h"
 #include "core/families.h"
-#include "core/optimality.h"
 #include "core/properties.h"
 #include "repair/repair.h"
 #include "workload/generators.h"
@@ -183,7 +182,7 @@ TEST_P(PropertySweep, Algorithm1OutputsAreExactlyCommonRepairs) {
         CleanDatabase(g, priority, rng.Permutation(g.vertex_count()));
     EXPECT_TRUE(common_set.contains(out));
     // ... and are globally optimal (Thm. 1 / Prop. 6).
-    EXPECT_TRUE(IsGloballyOptimal(g, priority, out));
+    EXPECT_TRUE(*IsPreferredRepair(g, priority, RepairFamily::kGlobal, out));
   }
 }
 

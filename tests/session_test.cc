@@ -464,7 +464,9 @@ TEST(SessionDerivedTest, ParentPriorityIsInvalidArgumentOnDerivedSnapshot) {
     }
     auto child = Snapshot::Derive(parent, delta);
     ASSERT_TRUE(child.ok()) << child.status().ToString();
-    ASSERT_EQ(SpansOneComponent((*child)->graph()), is_chain);
+    const ComponentDecomposition& shape = (*child)->graph().decomposition();
+    ASSERT_EQ(shape.components().size() == 1 && shape.isolated().None(),
+              is_chain);
     Session session(*child);
     auto closed = MustParse(is_chain ? "exists a, b, c . R(a, b, c, 0)"
                                      : "exists y, z . R(0, y, z)");
